@@ -108,9 +108,13 @@
 //                         degraded-transport diagnostic. 0 (default) =
 //                         never fall back
 //   --failpoints=SPEC     arm deterministic fault injection, e.g.
-//                         "tree_dp.compute=throw@2;checkpoint.append=abort"
+//                         "tree_dp.compute=throw@2;shard.worker_tree=abort@3"
 //                         (also read from $RID_FAILPOINTS; see
-//                         util/failpoint.hpp for the grammar)
+//                         util/failpoint.hpp for the grammar). Forked
+//                         workers inherit the arming; shard.worker_tree
+//                         fires in workers, checkpoint.append in this
+//                         process for every transport (abort there is a
+//                         crash of the run itself, recovered by --resume)
 //
 // Signals: the first SIGINT/SIGTERM requests cooperative cancellation —
 // in-flight trees degrade, workers are killed, and trace/metrics/

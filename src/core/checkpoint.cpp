@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -250,6 +251,18 @@ void CheckpointWriter::append(const TreeCheckpointRecord& record) {
       std::fflush(file_) != 0)
     throw std::runtime_error("checkpoint writer: write failed for " + path_);
   ++records_written_;
+}
+
+std::string fresh_checkpoint_path(const std::string& run_dir,
+                                  const std::string& stem) {
+  static std::atomic<std::uint64_t> sequence{0};
+  while (true) {
+    std::string path = run_dir + "/" + stem + "-" +
+                       std::to_string(sequence.fetch_add(1)) +
+                       kCheckpointExtension;
+    std::error_code ec;
+    if (!fs::exists(path, ec)) return path;
+  }
 }
 
 std::vector<TreeCheckpointRecord> read_checkpoint_file(

@@ -99,6 +99,12 @@ class CheckpointWriter {
   std::size_t records_written_ = 0;
 };
 
+/// "<run_dir>/<stem>-<n>.ckpt" for the next process-wide n that no file
+/// uses yet: writers open with "wb", and shard ids and attempt numbers
+/// repeat across fallback phases, resumes and restarts.
+std::string fresh_checkpoint_path(const std::string& run_dir,
+                                  const std::string& stem);
+
 /// Strict single-file read: returns every record or throws util::InputError
 /// on the first damaged byte (bad magic/version/fingerprint/checksum or a
 /// truncated record). Pass expected_fingerprint = 0 to skip the fingerprint

@@ -121,9 +121,10 @@ void solve_trees_isolated(const CascadeForest& forest,
   }
 }
 
-/// Copies the trace's per-stage totals into the diagnostics when tracing is
-/// live (the breakdown covers every span recorded since trace::start(), so
-/// in multi-run processes it is cumulative — exactly what the CLI wants).
+}  // namespace
+
+namespace internal {
+
 void attach_stage_totals(RunDiagnostics& diagnostics) {
   if (!trace::enabled()) return;
   diagnostics.stages.clear();
@@ -132,10 +133,6 @@ void attach_stage_totals(RunDiagnostics& diagnostics) {
   diagnostics.spans_dropped =
       trace::snapshot().dropped + trace::remote_spans_dropped();
 }
-
-}  // namespace
-
-namespace internal {
 
 TreeSolution root_only_fallback(const CascadeTree& tree) {
   TreeSolution solution;
@@ -254,7 +251,7 @@ DetectionResult run_rid_on_forest(const CascadeForest& forest,
   for (std::size_t t = 0; t < solutions.size(); ++t) views[t] = &solutions[t];
   internal::merge_solutions(forest, views, out);
   out.diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(out.diagnostics);
+  internal::attach_stage_totals(out.diagnostics);
   return out;
 }
 
@@ -294,7 +291,7 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
       },
       diagnostics);
   diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(diagnostics);
+  internal::attach_stage_totals(diagnostics);
 
   for (std::size_t b = 0; b < betas.size(); ++b) {
     std::vector<const TreeSolution*> views(solutions.size());
@@ -353,7 +350,7 @@ DetectionResult run_rid_impl(const Graph& diffusion,
   result.diagnostics.extraction_seconds =
       static_cast<double>(extraction_end_ns - extraction_start_ns) * 1e-9;
   result.diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(result.diagnostics);
+  internal::attach_stage_totals(result.diagnostics);
   util::log_debug("run_rid(beta=", config.beta, "): ", result.initiators.size(),
                   " initiators from ", result.num_trees, " trees (",
                   result.diagnostics.num_degraded, " degraded, ",

@@ -83,8 +83,9 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
 
 /// How sharded workers come to exist (see DESIGN.md §11 and §13).
 enum class ShardTransport {
-  /// fork() a copy of this process per shard; the forest is inherited
-  /// copy-on-write. The default, and the only option without a .ridg file.
+  /// fork() a copy of this process per shard; the forest and the shard's
+  /// assignment are inherited copy-on-write, and results stream back over a
+  /// socketpair. The default, and the only option without a .ridg file.
   kFork,
   /// fork+exec `<worker_command> worker` per shard and dispatch the
   /// assignment over a Unix/TCP socket (core/shard_transport.hpp). Workers
@@ -96,13 +97,14 @@ enum class ShardTransport {
 
 /// Crash-isolated sharded execution (see DESIGN.md §11): the forest's trees
 /// are partitioned into shards, each shard is solved by a worker process
-/// that streams per-tree checkpoint records into `run_dir`, and a
-/// supervisor (util/proc_supervisor.hpp) requeues crashed/hung shards.
+/// that streams per-tree records back to this process, which appends them
+/// to checkpoint files in `run_dir`, and a supervisor
+/// (util/proc_supervisor.hpp) requeues crashed/hung shards.
 struct ShardedConfig {
   /// Shards to partition the trees into (capped at the tree count).
   std::size_t num_shards = 2;
   /// Run directory holding the checkpoint stream. Required: this is both
-  /// the workers' durable store and the resume source.
+  /// the durable store for streamed worker results and the resume source.
   std::string run_dir;
   /// true: trees already checkpointed in run_dir (with a matching forest
   /// fingerprint) are loaded instead of recomputed. false: stale "*.ckpt"

@@ -16,6 +16,11 @@
 
 namespace rid::core::internal {
 
+/// Copies the trace's per-stage totals into the diagnostics when tracing is
+/// live (the breakdown covers every span recorded since trace::start(), so
+/// in multi-run processes it is cumulative — exactly what the CLI wants).
+void attach_stage_totals(RunDiagnostics& diagnostics);
+
 /// RID-Tree fallback for a tree whose DP failed: the extracted root is the
 /// sole initiator, with its observed/imputed state and the real objective
 /// value of that one-initiator assignment. Returns an empty solution when

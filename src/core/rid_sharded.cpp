@@ -1,18 +1,19 @@
-// Crash-isolated sharded RID runner: plan shards, fork one worker per shard
-// (util/proc_supervisor.hpp), stream per-tree results into the run
-// directory's checkpoint files (core/checkpoint.hpp), and merge in the
-// parent with the exact in-process accumulation order so the result is
-// bit-identical to run_rid for any shard count — including a resume after a
-// mid-run crash. See DESIGN.md §11.
+// Crash-isolated sharded RID runner: plan shards, launch one worker per
+// shard (util/proc_supervisor.hpp) through the shard dispatcher
+// (core/shard_transport.hpp), which appends every streamed per-tree record
+// to the run directory's checkpoint files (core/checkpoint.hpp), and merge
+// in the parent with the exact in-process accumulation order so the result
+// is bit-identical to run_rid for any shard count — including a resume
+// after a mid-run crash. See DESIGN.md §11.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 #include <thread>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,15 +22,9 @@
 #include "core/rid_internal.hpp"
 #include "core/shard_transport.hpp"
 #include "util/errors.hpp"
-#include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
-
-#if !defined(_WIN32)
-#include <unistd.h>
-#endif
 
 namespace rid::core {
 
@@ -58,40 +53,6 @@ struct ShardedRidMetrics {
 ShardedRidMetrics& sharded_metrics() {
   static ShardedRidMetrics instance;
   return instance;
-}
-
-std::uint64_t own_pid() {
-#if !defined(_WIN32)
-  return static_cast<std::uint64_t>(::getpid());
-#else
-  return 0;
-#endif
-}
-
-/// Checkpoint file for one worker attempt. The pid keeps names unique
-/// across runs sharing a resumed directory (each attempt gets a fresh file:
-/// appending to an old file after a crash could land records after a
-/// partial trailing record, hiding them behind the damaged prefix).
-std::string attempt_file(const std::string& run_dir, std::size_t shard_id,
-                         std::uint32_t attempt) {
-  std::ostringstream name;
-  name << run_dir << "/shard-" << shard_id << "-p" << own_pid() << "-a"
-       << attempt << kCheckpointExtension;
-  return name.str();
-}
-
-/// Telemetry sidecar for one fork-worker attempt (the fork-transport
-/// counterpart of the socket kTelemetry frame). Named with the *parent*
-/// pid — the child writes it, the supervising parent harvests it after
-/// supervision, and stale sidecars from other runs fail the pid filter.
-std::string telemetry_sidecar_file(const std::string& run_dir,
-                                   std::size_t shard_id,
-                                   std::uint64_t parent_pid,
-                                   std::uint32_t attempt) {
-  std::ostringstream name;
-  name << run_dir << "/telemetry-" << shard_id << "-p" << parent_pid << "-a"
-       << attempt << util::telemetry::kSidecarExtension;
-  return name.str();
 }
 
 /// Size-balanced deterministic plan over an arbitrary subset of trees
@@ -137,16 +98,12 @@ void ensure_run_dir(const std::string& run_dir, bool resume,
                            "': " + ec.message());
   }
   if (resume) return;
-  // Fresh run: stale checkpoint files would otherwise look durable to the
-  // supervisor and be merged back in. Stale telemetry sidecars go too —
-  // they are per-run artifacts, not durable state.
+  // Fresh run: stale checkpoint files would otherwise be merged back in by
+  // a later resume.
   std::size_t removed = 0;
   for (const fs::directory_entry& entry : fs::directory_iterator(run_dir, ec)) {
     if (ec) break;
-    const auto extension = entry.path().extension();
-    if (extension != kCheckpointExtension &&
-        extension != util::telemetry::kSidecarExtension)
-      continue;
+    if (entry.path().extension() != kCheckpointExtension) continue;
     std::error_code remove_ec;
     if (fs::remove(entry.path(), remove_ec)) ++removed;
   }
@@ -180,17 +137,6 @@ TreeCheckpointRecord demote_tree(const CascadeForest& forest,
   record.status = record.fallback_root_only ? TreeStatus::kDegraded
                                             : TreeStatus::kFailed;
   return record;
-}
-
-/// Copies the trace's per-stage totals into the diagnostics (same policy as
-/// rid.cpp's attach_stage_totals).
-void attach_stage_totals(RunDiagnostics& diagnostics) {
-  if (!trace::enabled()) return;
-  diagnostics.stages.clear();
-  for (const trace::StageTotal& stage : trace::aggregate_stage_totals())
-    diagnostics.stages.push_back({stage.name, stage.count, stage.seconds});
-  diagnostics.spans_dropped =
-      trace::snapshot().dropped + trace::remote_spans_dropped();
 }
 
 }  // namespace
@@ -262,8 +208,9 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   // the rest. Damaged files surface as shard events, never as a crash.
   std::vector<bool> have(n, false);
   std::vector<TreeCheckpointRecord> records(n);
-  const auto adopt_records = [&](CheckpointLoad& load, bool counts_as_resume) {
-    for (TreeCheckpointRecord& record : load.records) {
+  const auto adopt_records = [&](std::vector<TreeCheckpointRecord> found,
+                                 bool counts_as_resume) {
+    for (TreeCheckpointRecord& record : found) {
       if (record.tree_index >= n) {
         std::ostringstream event;
         event << "ignoring checkpoint record for out-of-range tree "
@@ -277,12 +224,12 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
       records[t] = std::move(record);
       if (counts_as_resume) ++diagnostics.resumed_trees;
     }
-    for (std::string& error : load.errors)
-      diagnostics.shard_events.push_back("checkpoint: " + std::move(error));
   };
   if (sharded.resume) {
     CheckpointLoad load = load_checkpoint_dir(sharded.run_dir, fingerprint);
-    adopt_records(load, /*counts_as_resume=*/true);
+    adopt_records(std::move(load.records), /*counts_as_resume=*/true);
+    for (std::string& error : load.errors)
+      diagnostics.shard_events.push_back("checkpoint: " + std::move(error));
   }
   sharded_metrics().resumed.add(diagnostics.resumed_trees);
 
@@ -290,167 +237,56 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   std::vector<std::size_t> pending;
   for (std::size_t t = 0; t < n; ++t)
     if (!have[t]) pending.push_back(t);
-  const std::vector<util::ShardWork> shards =
+  // The plan of the phase being supervised (a fork fallback re-plans).
+  std::vector<util::ShardWork> shards =
       plan_over(forest, pending, sharded.num_shards);
   diagnostics.shard_count = shards.size();
 
-  std::vector<std::unordered_set<std::size_t>> shard_items(shards.size());
-  for (const util::ShardWork& shard : shards)
-    shard_items[shard.shard_id].insert(shard.items.begin(),
-                                       shard.items.end());
+  // Resolved solve configuration (thread counts substituted — the DP is
+  // bit-identical across them); exec'd workers also rebuild the forest.
+  WorkerAssignment assignment;
+  assignment.fingerprint = fingerprint;
+  assignment.trace_id = sharded.trace_id;
+  // Workers record spans only when the parent is tracing; the telemetry
+  // frame itself always flows (the metrics half is always compiled).
+  assignment.collect_trace = trace::enabled();
+  assignment.graph_path = sharded.graph_path;
+  assignment.beta = config.beta;
+  assignment.dp = config.dp;
+  assignment.dp.budget = nullptr;
+  if (assignment.dp.num_threads == 0)
+    assignment.dp.num_threads = internal::intra_tree_threads(config, forest);
+  assignment.extraction = config.extraction;
+  assignment.extraction.budget = nullptr;
+  if (assignment.extraction.num_threads == 0)
+    assignment.extraction.num_threads = config.num_threads;
+  assignment.budget = config.budget;
+  assignment.budget.cancel = {};  // cancellation stays parent-side
 
-  // Worker body (runs in the forked child). Trees are solved serially in
-  // shard order — the supervisor's poison suspect ("first incomplete item")
-  // depends on it — with the exact per-tree isolation ladder of
-  // run_rid_on_forest, and each finished tree is flushed before the next
-  // starts so a crash loses at most the in-flight tree.
-  const std::uint64_t parent_pid = own_pid();  // captured pre-fork
-  const auto child_body = [&, parent_pid](std::size_t shard_id,
-                                          const std::vector<std::size_t>& items,
-                                          std::uint32_t attempt) {
-    // The forked child inherits the parent's metrics values and span rings
-    // copy-on-write; reset both so the telemetry sidecar carries only this
-    // attempt's deltas (the parent merging them back would otherwise
-    // double-count everything recorded before the fork).
-    util::metrics::global().reset();
-    const bool tracing = trace::enabled();
-    if (tracing) trace::start();
-    const std::uint64_t worker_start_ns = trace::now_ns();
-    const util::BudgetScope scope(config.budget);
-    TreeDpOptions dp = config.dp;
-    if (!config.budget.unlimited()) dp.budget = &scope;
-    // Resolved against the full forest, like run_rid_on_forest — the DP is
-    // bit-identical across thread counts, so the shard subset may safely
-    // use the whole pool's share.
-    if (dp.num_threads == 0)
-      dp.num_threads = internal::intra_tree_threads(config, forest);
-    CheckpointWriter writer(attempt_file(sharded.run_dir, shard_id, attempt),
-                            fingerprint);
-    for (const std::size_t item : items) {
-      RID_FAILPOINT("shard.worker_tree");
-      TreeCheckpointRecord record;
-      record.tree_index = item;
-      TreeDiagnostics tree;
-      const std::uint64_t start_ns = trace::now_ns();
-      internal::solve_tree_guarded(forest.trees[item], config.beta, dp,
-                                   record.solution, tree);
-      const std::uint64_t end_ns = trace::now_ns();
-      record.seconds = static_cast<double>(end_ns - start_ns) * 1e-9;
-      record.status = tree.status;
-      record.budget_hit = tree.budget_hit;
-      record.fallback_root_only = tree.fallback_root_only;
-      record.error = std::move(tree.error);
-      const trace::TagValue tags[] = {
-          {"tree_index", nullptr, static_cast<std::int64_t>(item)},
-          {"nodes", nullptr,
-           static_cast<std::int64_t>(forest.trees[item].size())},
-          {"status", status_name(tree.status), 0},
-      };
-      trace::emit_span("solve_tree", start_ns, end_ns, trace::current_tid(),
-                       tags);
-      writer.append(record);
-    }
-    // Telemetry sidecar (best-effort, after the last record is durable — a
-    // crash before this point loses observability, never results).
-    const trace::TagValue tags[] = {
-        {"shard", nullptr, static_cast<std::int64_t>(shard_id)},
-        {"attempt", nullptr, static_cast<std::int64_t>(attempt)},
-        {"job", nullptr, static_cast<std::int64_t>(sharded.trace_id)},
-    };
-    trace::emit_span("worker_shard", worker_start_ns, trace::now_ns(),
-                     trace::current_tid(), tags);
-    if (tracing) trace::stop();
-    try {
-      util::telemetry::write_sidecar_file(
-          telemetry_sidecar_file(sharded.run_dir, shard_id, parent_pid,
-                                 attempt),
-          util::telemetry::collect(
-              sharded.trace_id, "worker shard " + std::to_string(shard_id) +
-                                    " attempt " + std::to_string(attempt)));
-    } catch (const std::exception&) {
-    }
-  };
-
-  // Parent-side durability probe: which of a shard's trees are already on
-  // disk (tolerant load — a worker may have died mid-record).
+  // The dispatcher is the only writer of this run's checkpoint records,
+  // whatever launched the worker; only exec'd workers need it to listen.
+  SocketDispatcher dispatcher =
+      socket_transport
+          ? SocketDispatcher(
+                sharded.worker_endpoint.empty()
+                    ? util::net::Endpoint::unix_path(sharded.run_dir +
+                                                     "/workers.sock")
+                    : util::net::Endpoint::parse(sharded.worker_endpoint),
+                sharded.run_dir, std::move(assignment),
+                {sharded.auth_token, sharded.graph_cache_dir})
+          : SocketDispatcher(sharded.run_dir, std::move(assignment));
+  // Parent-side durability probe: which of a shard's trees the dispatcher
+  // has appended (the supervisor drains a reaped worker's frames first).
   const auto durable = [&](std::size_t shard_id) {
-    std::vector<std::size_t> done;
-    CheckpointLoad load = load_checkpoint_dir(sharded.run_dir, fingerprint);
-    std::unordered_set<std::size_t> seen;
-    for (const TreeCheckpointRecord& record : load.records) {
-      const std::size_t t = static_cast<std::size_t>(record.tree_index);
-      if (shard_items[shard_id].count(t) && seen.insert(t).second)
-        done.push_back(t);
-    }
-    return done;
-  };
-
-  // Telemetry sidecar harvest for fork-transport children (the fork branch
-  // proper and the degraded-transport fallback below). The pid filter skips
-  // sidecars from other processes sharing a resumed directory; the trace-id
-  // check skips this process's earlier runs. Damage is counted inside
-  // read_sidecar_file, never fatal.
-  const auto harvest_sidecars = [&] {
-    std::error_code ec;
-    std::vector<fs::path> sidecars;
-    const std::string pid_token = "-p" + std::to_string(parent_pid) + "-";
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(sharded.run_dir, ec)) {
-      if (ec) break;
-      const std::string name = entry.path().filename().string();
-      if (entry.path().extension() != util::telemetry::kSidecarExtension ||
-          name.rfind("telemetry-", 0) != 0 ||
-          name.find(pid_token) == std::string::npos)
-        continue;
-      sidecars.push_back(entry.path());
-    }
-    std::sort(sidecars.begin(), sidecars.end());  // deterministic merge order
-    for (const fs::path& sidecar : sidecars) {
-      auto telemetry = util::telemetry::read_sidecar_file(sidecar.string());
-      if (!telemetry || telemetry->trace_id != sharded.trace_id) continue;
-      util::telemetry::merge_into_process(std::move(*telemetry));
-    }
+    return dispatcher.appended(shards[shard_id].items);
   };
 
   util::SupervisorReport report;
   if (socket_transport) {
-    // Socket transport: workers are exec'd `<worker_command> worker`
-    // processes fed their assignment over the wire; the dispatcher appends
-    // their streamed records to the same per-attempt checkpoint files the
-    // durable() probe reads, so supervision semantics are unchanged.
-    WorkerAssignment assignment;
-    assignment.fingerprint = fingerprint;
-    assignment.trace_id = sharded.trace_id;
-    // Workers record spans only when the parent is tracing; the telemetry
-    // frame itself always flows (the metrics half is always compiled).
-    assignment.collect_trace = trace::enabled();
-    assignment.graph_path = sharded.graph_path;
-    assignment.beta = config.beta;
-    assignment.dp = config.dp;
-    assignment.dp.budget = nullptr;
-    if (assignment.dp.num_threads == 0)
-      assignment.dp.num_threads = internal::intra_tree_threads(config, forest);
-    assignment.extraction = config.extraction;
-    assignment.extraction.budget = nullptr;
-    if (assignment.extraction.num_threads == 0)
-      assignment.extraction.num_threads = config.num_threads;
-    assignment.budget = config.budget;
-    assignment.budget.cancel = {};  // cancellation stays parent-side
-    const util::net::Endpoint endpoint =
-        sharded.worker_endpoint.empty()
-            ? util::net::Endpoint::unix_path(sharded.run_dir +
-                                             "/workers.sock")
-            : util::net::Endpoint::parse(sharded.worker_endpoint);
-    DispatcherOptions dispatcher_options;
-    dispatcher_options.auth_token = sharded.auth_token;
-    dispatcher_options.graph_cache_dir = sharded.graph_cache_dir;
-    SocketDispatcher dispatcher(endpoint, sharded.run_dir,
-                                std::move(assignment), dispatcher_options);
-
     // Grace watchdog (remote_grace_seconds > 0): a derived cancel token
     // trips when the user cancels, or when the grace budget elapses with no
     // worker having ever completed a handshake — the transport is treated
-    // as unreachable and the remaining trees re-run over the fork transport
+    // as unreachable and the remaining trees re-run over the fork launcher
     // below. The watchdog retires permanently after the first handshake:
     // from then on connection losses follow the normal retry/requeue
     // ladder, not the fallback.
@@ -486,34 +322,28 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
     }
     report = util::supervise_shards(
         shards, socket_supervisor,
-        dispatcher.launcher(sharded.worker_command, socket_supervisor),
+        dispatcher.exec_launcher(sharded.worker_command, socket_supervisor),
         durable);
     if (watchdog.joinable()) {
       watchdog_stop.store(true, std::memory_order_relaxed);
       watchdog.join();
     }
-    for (std::string& event : dispatcher.take_events())
-      diagnostics.shard_events.push_back(std::move(event));
 
     // Degraded-transport fallback: the socket phase ended (grace-cancelled
     // or attempts exhausted) without a single completed handshake, and
-    // trees remain. Re-plan the non-durable remainder and run it over the
-    // fork transport under the *user's* cancel token. The socket phase's
+    // trees remain. Re-plan the non-durable remainder and run it through
+    // the fork launcher under the *user's* cancel token. The socket phase's
     // poison/abandon verdicts are transport artifacts — no worker ever held
     // those trees — so the fallback's verdicts replace them; its crash and
     // retry counts merge for observability. Results stay bit-identical:
-    // records adopt first-wins and both transports run the same solver.
+    // records adopt first-wins and both launchers run the same solver.
     if (sharded.remote_grace_seconds > 0 &&
         !sharded.supervisor.cancel.cancel_requested() &&
         (report.cancelled || dispatcher.handshakes_completed() == 0)) {
-      CheckpointLoad probe = load_checkpoint_dir(sharded.run_dir, fingerprint);
-      std::unordered_set<std::size_t> done;
-      for (const TreeCheckpointRecord& record : probe.records)
-        if (record.tree_index < n)
-          done.insert(static_cast<std::size_t>(record.tree_index));
+      const std::vector<std::size_t> done = dispatcher.appended(pending);
       std::vector<std::size_t> remaining;
-      for (const std::size_t t : pending)
-        if (!done.count(t) && !have[t]) remaining.push_back(t);
+      std::set_difference(pending.begin(), pending.end(), done.begin(),
+                          done.end(), std::back_inserter(remaining));
       if (!remaining.empty()) {
         sharded_metrics().transport_fallbacks.add(1);
         std::ostringstream event;
@@ -522,15 +352,10 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
               << "s grace budget; re-running " << remaining.size()
               << " trees over the fork transport";
         diagnostics.shard_events.push_back(event.str());
-        const std::vector<util::ShardWork> fb_shards =
-            plan_over(forest, remaining, sharded.num_shards);
-        shard_items.assign(fb_shards.size(), {});
-        for (const util::ShardWork& shard : fb_shards)
-          shard_items[shard.shard_id].insert(shard.items.begin(),
-                                             shard.items.end());
+        shards = plan_over(forest, remaining, sharded.num_shards);
         util::SupervisorReport fallback = util::supervise_shards(
-            fb_shards, sharded.supervisor, child_body, durable);
-        harvest_sidecars();
+            shards, sharded.supervisor,
+            dispatcher.fork_launcher(forest, sharded.supervisor), durable);
         report.cancelled = fallback.cancelled;
         report.workers_spawned += fallback.workers_spawned;
         report.crashes += fallback.crashes;
@@ -543,20 +368,20 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
       }
     }
   } else {
-    report =
-        util::supervise_shards(shards, sharded.supervisor, child_body, durable);
-    harvest_sidecars();
+    report = util::supervise_shards(
+        shards, sharded.supervisor,
+        dispatcher.fork_launcher(forest, sharded.supervisor), durable);
   }
+  // Every worker is reaped and drained: fold in its telemetry, then adopt
+  // what the dispatcher appended.
+  dispatcher.merge_telemetry();
+  for (std::string& event : dispatcher.take_events())
+    diagnostics.shard_events.push_back(std::move(event));
   diagnostics.shard_retries = report.retries;
   diagnostics.shard_crashes = report.crashes;
   for (const std::string& event : report.events)
     diagnostics.shard_events.push_back(event);
-
-  // Collect what the workers persisted.
-  {
-    CheckpointLoad load = load_checkpoint_dir(sharded.run_dir, fingerprint);
-    adopt_records(load, /*counts_as_resume=*/false);
-  }
+  adopt_records(dispatcher.take_records(), /*counts_as_resume=*/false);
 
   // Poison pills: demote in the parent and *persist* the demotion, so a
   // later resume keeps the verdict instead of feeding the killer tree to a
@@ -566,27 +391,22 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
     std::ostringstream reason;
     reason << "poison pill: tree killed " << sharded.supervisor.poison_threshold
            << " workers; demoted to root-only fallback";
+    std::vector<const TreeCheckpointRecord*> demoted;
+    for (const std::size_t item : report.poisoned_items) {
+      if (item >= n || have[item]) continue;
+      records[item] = demote_tree(forest, item, reason.str());
+      have[item] = true;
+      ++diagnostics.shard_poison_trees;
+      demoted.push_back(&records[item]);
+    }
     try {
       CheckpointWriter poison_writer(
-          sharded.run_dir + "/poison-p" + std::to_string(own_pid()) +
-              kCheckpointExtension,
-          fingerprint);
-      for (const std::size_t item : report.poisoned_items) {
-        if (item >= n || have[item]) continue;
-        records[item] = demote_tree(forest, item, reason.str());
-        have[item] = true;
-        ++diagnostics.shard_poison_trees;
-        poison_writer.append(records[item]);
-      }
+          fresh_checkpoint_path(sharded.run_dir, "poison"), fingerprint);
+      for (const TreeCheckpointRecord* record : demoted)
+        poison_writer.append(*record);
     } catch (const std::exception& e) {
       diagnostics.shard_events.push_back(
           std::string("failed to persist poison demotions: ") + e.what());
-      for (const std::size_t item : report.poisoned_items) {
-        if (item >= n || have[item]) continue;
-        records[item] = demote_tree(forest, item, reason.str());
-        have[item] = true;
-        ++diagnostics.shard_poison_trees;
-      }
     }
   }
   for (const std::size_t item : report.abandoned_items) {
@@ -636,7 +456,7 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   internal::merge_solutions(forest, views, out);
 
   diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(diagnostics);
+  internal::attach_stage_totals(diagnostics);
   util::log_debug("run_rid_sharded(beta=", config.beta, ", shards=",
                   diagnostics.shard_count, "): ", out.initiators.size(),
                   " initiators from ", n, " trees (",
@@ -691,7 +511,7 @@ DetectionResult run_rid_sharded_impl(const Graph& diffusion,
   result.diagnostics.extraction_seconds =
       static_cast<double>(extraction_end_ns - extraction_start_ns) * 1e-9;
   result.diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(result.diagnostics);
+  internal::attach_stage_totals(result.diagnostics);
   return result;
 }
 

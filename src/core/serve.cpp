@@ -1,6 +1,7 @@
 #include "core/serve.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -919,8 +921,20 @@ ServeReport run_serve(const ServeOptions& options) {
   for (std::size_t i = 0; i < runner_count; ++i)
     runners.emplace_back([&daemon] { runner_loop(daemon); });
 
-  std::vector<std::thread> handlers;
+  // Control-plane handlers, joined as they finish on every accept-loop
+  // turn: a kept handle pins its stack mapping, which every later fork of
+  // a shard worker copies.
+  struct Handler {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> finished;
+  };
+  std::vector<Handler> handlers;
   while (!options.cancel.cancel_requested()) {
+    std::erase_if(handlers, [](Handler& handler) {
+      if (!handler.finished->load(std::memory_order_acquire)) return false;
+      handler.thread.join();
+      return true;
+    });
     // A transient accept fault (fd exhaustion, an injected net.accept
     // failpoint) drops that one connection, never the daemon: the client
     // sees a failed request and retries; the control loop keeps serving.
@@ -932,17 +946,20 @@ ServeReport run_serve(const ServeOptions& options) {
       continue;
     }
     if (!client.valid()) continue;
-    handlers.emplace_back(
-        [&daemon](net::Socket socket) {
+    auto finished = std::make_shared<std::atomic<bool>>(false);
+    std::thread thread(
+        [&daemon, finished](net::Socket socket) {
           handle_client(daemon, std::move(socket));
+          finished->store(true, std::memory_order_release);
         },
         std::move(client));
+    handlers.push_back({std::move(thread), std::move(finished)});
   }
 
   listener.close();
   daemon.cv.notify_all();
   for (std::thread& t : runners) t.join();
-  for (std::thread& t : handlers) t.join();
+  for (Handler& handler : handlers) handler.thread.join();
   {
     std::lock_guard<std::mutex> lock(daemon.mu);
     if (daemon.journal != nullptr) {

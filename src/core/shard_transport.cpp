@@ -4,11 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <random>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include <cstdlib>
@@ -30,7 +31,6 @@
 #include "util/wire.hpp"
 
 #if !defined(_WIN32)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -104,6 +104,8 @@ struct TransportMetrics {
       util::metrics::global().counter("net.graph_bytes_shipped");
   util::metrics::Counter& graph_cache_hits =
       util::metrics::global().counter("net.graph_cache_hits");
+  util::metrics::Counter& telemetry_damaged =
+      util::metrics::global().counter("telemetry.damaged");
 };
 
 TransportMetrics& transport_metrics() {
@@ -117,16 +119,6 @@ std::uint64_t own_pid() {
 #else
   return 0;
 #endif
-}
-
-/// Same naming scheme as the fork path (rid_sharded.cpp): unique per
-/// (dispatcher pid, attempt), so resumed directories never collide.
-std::string attempt_file(const std::string& run_dir, std::size_t shard_id,
-                         std::uint32_t attempt) {
-  std::ostringstream name;
-  name << run_dir << "/shard-" << shard_id << "-p" << own_pid() << "-a"
-       << attempt << kCheckpointExtension;
-  return name.str();
 }
 
 std::string fingerprint_hex(std::uint64_t fingerprint) {
@@ -357,19 +349,149 @@ WorkerAssignment decode_assignment(std::string_view body) {
 
 #if !defined(_WIN32)
 
+namespace {
+
+/// Sends kError (best effort) and returns the worker exit code.
+int worker_fail(net::Socket& socket, const std::string& message, int code) {
+  std::string body;
+  wire::put_bytes(body, message);
+  socket.write_frame(message_frame(WireMessage::kError, body));
+  util::log_warn("socket worker: ", message);
+  return code;
+}
+
+/// The one solve-and-stream loop every worker runs, forked or exec'd:
+/// solve the assigned trees serially in shard order (the supervisor's
+/// poison suspect — "first incomplete item" — depends on it) with the
+/// exact per-tree isolation ladder of run_rid_on_forest, stream each
+/// finished tree as a kRecord frame the moment it is done (a crash loses at
+/// most the tree in flight), then one kTelemetry frame, then kDone.
+/// Returns the worker's exit code.
+int stream_shard(net::Socket& socket, const CascadeForest& forest,
+                 const WorkerAssignment& assignment, std::size_t shard_id,
+                 std::uint32_t attempt, std::uint64_t worker_start_ns) {
+  const util::BudgetScope scope(assignment.budget);
+  TreeDpOptions dp = assignment.dp;
+  if (!assignment.budget.unlimited()) dp.budget = &scope;
+
+  std::uint64_t streamed = 0;
+  for (const std::size_t item : assignment.items) {
+    RID_FAILPOINT("shard.worker_tree");
+    if (item >= forest.trees.size())
+      return worker_fail(socket,
+                         "assigned tree " + std::to_string(item) +
+                             " out of range",
+                         3);
+    TreeCheckpointRecord record;
+    record.tree_index = item;
+    TreeDiagnostics tree;
+    const std::uint64_t start_ns = util::trace::now_ns();
+    internal::solve_tree_guarded(forest.trees[item], assignment.beta, dp,
+                                 record.solution, tree);
+    const std::uint64_t end_ns = util::trace::now_ns();
+    record.seconds = static_cast<double>(end_ns - start_ns) * 1e-9;
+    record.status = tree.status;
+    record.budget_hit = tree.budget_hit;
+    record.fallback_root_only = tree.fallback_root_only;
+    record.error = std::move(tree.error);
+    {
+      // Same span shape as the in-process path (rid.cpp) so merged
+      // traces read uniformly.
+      const util::trace::TagValue tags[] = {
+          {"tree_index", nullptr, static_cast<std::int64_t>(item)},
+          {"nodes", nullptr,
+           static_cast<std::int64_t>(forest.trees[item].size())},
+          {"status", status_name(tree.status), 0},
+      };
+      util::trace::emit_span("solve_tree", start_ns, end_ns,
+                             util::trace::current_tid(), tags);
+    }
+    if (!socket.write_frame(
+            message_frame(WireMessage::kRecord, encode_record(record))))
+      return 1;  // dispatcher gone; nothing durable happens without it
+    ++streamed;
+  }
+  {
+    const util::trace::TagValue tags[] = {
+        {"shard", nullptr, static_cast<std::int64_t>(shard_id)},
+        {"attempt", nullptr, static_cast<std::int64_t>(attempt)},
+        {"job", nullptr, static_cast<std::int64_t>(assignment.trace_id)},
+    };
+    util::trace::emit_span("worker_shard", worker_start_ns,
+                           util::trace::now_ns(),
+                           util::trace::current_tid(), tags);
+  }
+  {
+    // Telemetry before kDone, strictly best-effort: a failed send is the
+    // dispatcher's loss to count, never the worker's failure. The frame
+    // always flows (the metrics half is always compiled); span content
+    // rides along only when the dispatcher asked for a trace.
+    try {
+      if (assignment.collect_trace && util::trace::compiled())
+        util::trace::stop();
+      const util::telemetry::WorkerTelemetry telemetry =
+          util::telemetry::collect(
+              assignment.trace_id,
+              "worker shard " + std::to_string(shard_id) + " attempt " +
+                  std::to_string(attempt));
+      socket.write_frame(message_frame(
+          WireMessage::kTelemetry, util::telemetry::encode(telemetry)));
+    } catch (const std::exception&) {
+    }
+  }
+  std::string done;
+  wire::put_u64(done, streamed);
+  socket.write_frame(message_frame(WireMessage::kDone, done));
+  return 0;
+}
+
+/// One worker attempt's record stream. Its handler thread pumps frames as
+/// they arrive; once the supervisor has reaped the worker, drain() pumps
+/// whatever is still buffered. `mutex` serializes the two.
+struct Stream {
+  Stream(std::size_t shard, std::uint32_t attempt_number, net::Socket s,
+         const std::string& path, std::uint64_t fingerprint)
+      : socket(std::move(s)),
+        shard_id(shard),
+        attempt(attempt_number),
+        writer(path, fingerprint) {}
+
+  std::mutex mutex;
+  net::Socket socket;
+  const std::size_t shard_id;
+  const std::uint32_t attempt;
+  CheckpointWriter writer;
+  std::atomic<bool> ended{false};
+
+  std::string label() const {
+    return "shard " + std::to_string(shard_id) + " attempt " +
+           std::to_string(attempt);
+  }
+};
+
+}  // namespace
+
 struct SocketDispatcher::Impl {
   std::string run_dir;
   WorkerAssignment assignment_template;
   DispatcherOptions options;
-  net::Listener listener;
+  net::Listener listener;  // bound only for exec'd workers
 
   std::mutex mutex;
-  // shard_id -> items of the currently-launching attempt. A worker from a
-  // superseded attempt still finds its items here (same shard, items only
-  // shrink as records land), and its records are adopted first-wins anyway.
+  // shard_id -> items of the currently-launching exec'd attempt. A worker
+  // from a superseded attempt still finds its items here (same shard,
+  // items only shrink as records land), and its records are adopted
+  // first-wins anyway.
   std::unordered_map<std::size_t, std::vector<std::size_t>> assignments;
   std::vector<std::string> events;
   std::vector<std::thread> handlers;
+  std::vector<std::shared_ptr<Stream>> streams;  // not yet drained
+  std::vector<TreeCheckpointRecord> records;     // appended, arrival order
+  std::unordered_set<std::size_t> appended;      // their tree indices
+  // Worker telemetry by (shard, attempt), held until supervision ends.
+  std::multimap<std::pair<std::size_t, std::uint32_t>,
+                util::telemetry::WorkerTelemetry>
+      telemetry;
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> handshakes_completed{0};
@@ -435,6 +557,163 @@ struct SocketDispatcher::Impl {
     return true;
   }
 
+  /// Registers one attempt's stream, with its own fresh checkpoint file.
+  std::shared_ptr<Stream> open_stream(std::size_t shard_id,
+                                      std::uint32_t attempt,
+                                      net::Socket socket) {
+    auto stream = std::make_shared<Stream>(
+        shard_id, attempt, std::move(socket),
+        fresh_checkpoint_path(run_dir, "shard-" + std::to_string(shard_id) +
+                                           "-a" + std::to_string(attempt)),
+        assignment_template.fingerprint);
+    std::lock_guard<std::mutex> lock(mutex);
+    streams.push_back(stream);
+    return stream;
+  }
+
+  /// Ends `s` (caller holds s.mutex): nothing more is read from it, and a
+  /// handler waiting on it wakes up.
+  static void end(Stream& s) {
+    s.ended = true;
+    s.socket.shutdown();
+  }
+
+  /// Reads and handles one frame of `s` (caller holds s.mutex). False when
+  /// the stream is over: kDone, a worker error, loss, damage, or a frame
+  /// that has no business here.
+  bool pump(Stream& s) {
+    TransportMetrics& tm = transport_metrics();
+    std::string payload;
+    try {
+      const net::FrameStatus frame =
+          s.socket.read_frame(payload, kDispatcherPollSeconds);
+      if (frame == net::FrameStatus::kTimeout) return true;
+      if (frame != net::FrameStatus::kOk) {
+        // Loss or damage on the wire: drop the connection. The worker's
+        // next write fails (or the heartbeat kills it) and the shard
+        // requeues.
+        const bool lost = frame == net::FrameStatus::kClosed;
+        const std::string what =
+            s.label() + (lost ? ": connection lost mid-stream"
+                              : ": damaged frame - dropping connection");
+        tm.dropped.add(1);
+        util::flight::record(lost ? "net.conn" : "net.frame", what);
+        log_event("dispatcher: " + what);
+        return false;
+      }
+      if (payload.empty()) return true;
+      const auto type = static_cast<WireMessage>(payload[0]);
+      const std::string_view body = std::string_view(payload).substr(1);
+      switch (type) {
+        case WireMessage::kGraphRequest:
+          // The worker's cache missed: stream the `.ridg` before any
+          // records flow. A connection lost mid-ship ends the attempt
+          // exactly like one lost mid-stream.
+          if (ship_graph(s.socket, s.shard_id)) return true;
+          tm.dropped.add(1);
+          log_event("dispatcher: " + s.label() +
+                    ": graph ship failed - dropping connection");
+          return false;
+        case WireMessage::kRecord:
+          // Decode before append: a structurally-broken record must not
+          // reach the durable store (the frame checksum only covers
+          // transport damage).
+          append(s, decode_record(body));
+          return true;
+        case WireMessage::kTelemetry:
+          hold_telemetry(s, body);
+          return true;
+        case WireMessage::kDone:
+          return false;
+        case WireMessage::kError: {
+          wire::Reader err(body, "worker error");
+          log_event("dispatcher: " + s.label() +
+                    ": worker error: " + err.str());
+          return false;
+        }
+        default:
+          log_event("dispatcher: " + s.label() + ": unexpected message type " +
+                    std::to_string(static_cast<int>(type)) + " - dropping");
+          return false;
+      }
+    } catch (const std::exception& e) {
+      tm.dropped.add(1);
+      log_event(std::string("dispatcher: connection handler failed: ") +
+                e.what());
+      return false;
+    }
+  }
+
+  /// Appends one record to the attempt's file (flushed), then to the
+  /// in-memory set the durability probe reads — never the other way round.
+  void append(Stream& s, TreeCheckpointRecord record) {
+    s.writer.append(record);
+    transport_metrics().records_streamed.add(1);
+    std::lock_guard<std::mutex> lock(mutex);
+    appended.insert(static_cast<std::size_t>(record.tree_index));
+    records.push_back(std::move(record));
+  }
+
+  /// Best-effort observability: damage here must never end the attempt
+  /// (the records already streamed are the result). The failpoint models a
+  /// frame that passed the transport checksum but carries a garbled
+  /// payload. Telemetry is held, not merged: merging takes the metrics
+  /// registry lock, which no thread may hold while the supervisor forks.
+  void hold_telemetry(const Stream& s, std::string_view body) {
+    try {
+      RID_FAILPOINT("net.telemetry_frame");
+      util::telemetry::WorkerTelemetry decoded =
+          util::telemetry::decode(body);
+      if (decoded.trace_id != assignment_template.trace_id)
+        throw util::InputError("telemetry trace id " +
+                               std::to_string(decoded.trace_id) +
+                               " does not match assignment " +
+                               std::to_string(assignment_template.trace_id));
+      std::lock_guard<std::mutex> lock(mutex);
+      telemetry.emplace(std::make_pair(s.shard_id, s.attempt),
+                        std::move(decoded));
+    } catch (const std::exception& e) {
+      transport_metrics().telemetry_damaged.add(1);
+      util::flight::record("net.frame", "telemetry damaged: " + s.label() +
+                                            ": " + e.what());
+      log_event("dispatcher: " + s.label() +
+                ": telemetry damaged (ignored): " + e.what());
+    }
+  }
+
+  /// Handler loop: pumps frames as they arrive until the stream is over.
+  void serve_stream(Stream& s) {
+    while (true) {
+      const bool ready = s.socket.wait_readable(kDispatcherPollSeconds);
+      std::lock_guard<std::mutex> lock(s.mutex);
+      if (s.ended) return;
+      if (ready ? pump(s) : !stop.load(std::memory_order_relaxed)) continue;
+      end(s);
+      return;
+    }
+  }
+
+  /// `shard_id`'s worker was reaped, so every byte it wrote is buffered:
+  /// pump what is there without waiting for end of stream (a worker forked
+  /// meanwhile may hold a copy of the dead one's socket end), then end.
+  void drain(std::size_t shard_id) {
+    std::vector<std::shared_ptr<Stream>> gone;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      std::erase_if(streams, [&](const std::shared_ptr<Stream>& s) {
+        if (s->shard_id != shard_id) return s->ended.load();
+        gone.push_back(s);
+        return true;
+      });
+    }
+    for (const std::shared_ptr<Stream>& s : gone) {
+      std::lock_guard<std::mutex> lock(s->mutex);
+      while (!s->ended && s->socket.wait_readable(0.0) && pump(*s)) {
+      }
+      end(*s);
+    }
+  }
+
   void accept_loop() {
     while (!stop.load(std::memory_order_relaxed)) {
       net::Socket socket;
@@ -478,8 +757,6 @@ struct SocketDispatcher::Impl {
       const std::string hello_body(std::string_view(payload).substr(1));
       const HelloV2 hello = decode_hello(hello_body);
       const std::size_t shard_id = hello.shard_id;
-      const std::uint32_t attempt = hello.attempt;
-      const std::uint64_t worker_pid = hello.worker_pid;
 
       // Capability gates, most specific verdict first. Version and binary
       // skew are configuration errors the supervisor cannot retry away, so
@@ -532,7 +809,7 @@ struct SocketDispatcher::Impl {
                          expected.size()))) {
           reject(socket, RejectCode::kAuthFailed,
                  "shard " + std::to_string(shard_id) + " pid " +
-                     std::to_string(worker_pid) + ": bad MAC");
+                     std::to_string(hello.worker_pid) + ": bad MAC");
           return;
         }
       }
@@ -570,119 +847,24 @@ struct SocketDispatcher::Impl {
         return;
       }
       assignment.delivery = delivery;
+
+      // Registered before kAssign goes out: no record can arrive on a
+      // stream drain() does not know about.
+      const std::shared_ptr<Stream> stream =
+          open_stream(shard_id, hello.attempt, std::move(socket));
       tm.handshakes.add(1);
       handshakes_completed.fetch_add(1, std::memory_order_relaxed);
-      if (!socket.write_frame(
+      if (!stream->socket.write_frame(
               message_frame(WireMessage::kAssign,
                             encode_assignment(assignment)))) {
         tm.dropped.add(1);
         log_event("dispatcher: worker for shard " + std::to_string(shard_id) +
                   " vanished before assignment");
+        std::lock_guard<std::mutex> lock(stream->mutex);
+        end(*stream);
         return;
       }
-
-      // Stream phase: every record frame is appended (and flushed) to this
-      // attempt's checkpoint file immediately, so the supervisor's durable()
-      // probe and heartbeat see progress with per-tree granularity.
-      CheckpointWriter writer(attempt_file(run_dir, shard_id, attempt),
-                              assignment_template.fingerprint);
-      while (true) {
-        const net::FrameStatus frame =
-            socket.read_frame(payload, kDispatcherPollSeconds);
-        if (frame == net::FrameStatus::kTimeout) {
-          if (stop.load(std::memory_order_relaxed)) return;
-          continue;
-        }
-        if (frame == net::FrameStatus::kClosed) {
-          tm.dropped.add(1);
-          util::flight::record(
-              "net.conn", "shard " + std::to_string(shard_id) + " attempt " +
-                              std::to_string(attempt) + " pid " +
-                              std::to_string(worker_pid) +
-                              ": connection lost mid-stream");
-          log_event("dispatcher: shard " + std::to_string(shard_id) +
-                    " attempt " + std::to_string(attempt) +
-                    ": connection lost mid-stream");
-          return;
-        }
-        if (frame == net::FrameStatus::kChecksumError) {
-          // Damage on the wire: drop the connection. The worker's next
-          // write fails (or the heartbeat kills it) and the shard requeues.
-          tm.dropped.add(1);
-          util::flight::record(
-              "net.frame", "shard " + std::to_string(shard_id) + " attempt " +
-                               std::to_string(attempt) +
-                               ": damaged frame, dropping connection");
-          log_event("dispatcher: shard " + std::to_string(shard_id) +
-                    " attempt " + std::to_string(attempt) +
-                    ": damaged frame - dropping connection");
-          return;
-        }
-        if (payload.empty()) continue;
-        const auto type = static_cast<WireMessage>(payload[0]);
-        const std::string_view body = std::string_view(payload).substr(1);
-        if (type == WireMessage::kGraphRequest) {
-          // The worker's cache missed: stream the `.ridg` before any
-          // records flow. A connection lost mid-ship ends the attempt
-          // exactly like one lost mid-stream.
-          if (!ship_graph(socket, shard_id)) {
-            tm.dropped.add(1);
-            log_event("dispatcher: shard " + std::to_string(shard_id) +
-                      " attempt " + std::to_string(attempt) +
-                      ": graph ship failed - dropping connection");
-            return;
-          }
-          continue;
-        }
-        if (type == WireMessage::kRecord) {
-          // Decode before append: a structurally-broken record must not
-          // reach the durable store (the frame checksum only covers
-          // transport damage).
-          writer.append(decode_record(body));
-          tm.records_streamed.add(1);
-          continue;
-        }
-        if (type == WireMessage::kTelemetry) {
-          // Best-effort observability: damage here must never end the
-          // attempt (the records already streamed are the result; spans
-          // and metrics are garnish). The failpoint models a frame that
-          // passed the transport checksum but carries a garbled payload.
-          try {
-            RID_FAILPOINT("net.telemetry_frame");
-            util::telemetry::WorkerTelemetry telemetry =
-                util::telemetry::decode(body);
-            if (telemetry.trace_id != assignment.trace_id)
-              throw util::InputError(
-                  "telemetry trace id " +
-                  std::to_string(telemetry.trace_id) +
-                  " does not match assignment " +
-                  std::to_string(assignment.trace_id));
-            util::telemetry::merge_into_process(std::move(telemetry));
-          } catch (const std::exception& e) {
-            util::metrics::global().counter("telemetry.damaged").add(1);
-            util::flight::record(
-                "net.frame", "telemetry damaged: shard " +
-                                 std::to_string(shard_id) + " attempt " +
-                                 std::to_string(attempt) + ": " + e.what());
-            log_event("dispatcher: shard " + std::to_string(shard_id) +
-                      " attempt " + std::to_string(attempt) +
-                      ": telemetry damaged (ignored): " + e.what());
-          }
-          continue;
-        }
-        if (type == WireMessage::kDone) return;
-        if (type == WireMessage::kError) {
-          wire::Reader err(body, "worker error");
-          log_event("dispatcher: shard " + std::to_string(shard_id) +
-                    " attempt " + std::to_string(attempt) +
-                    ": worker error: " + err.str());
-          return;
-        }
-        log_event("dispatcher: shard " + std::to_string(shard_id) +
-                  ": unexpected message type " +
-                  std::to_string(static_cast<int>(type)) + " - dropping");
-        return;
-      }
+      serve_stream(*stream);
     } catch (const std::exception& e) {
       tm.dropped.add(1);
       log_event(std::string("dispatcher: connection handler failed: ") +
@@ -691,13 +873,21 @@ struct SocketDispatcher::Impl {
   }
 };
 
+SocketDispatcher::SocketDispatcher(std::string run_dir,
+                                   WorkerAssignment assignment_template)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->run_dir = std::move(run_dir);
+  impl_->assignment_template = std::move(assignment_template);
+  // Resolve the handler threads' counters here, before any fork: a child
+  // must never inherit the registry lock from a lazy lookup.
+  transport_metrics();
+}
+
 SocketDispatcher::SocketDispatcher(const util::net::Endpoint& endpoint,
                                    std::string run_dir,
                                    WorkerAssignment assignment_template,
                                    DispatcherOptions options)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->run_dir = std::move(run_dir);
-  impl_->assignment_template = std::move(assignment_template);
+    : SocketDispatcher(std::move(run_dir), std::move(assignment_template)) {
   impl_->options = std::move(options);
   if (impl_->assignment_template.graph_fingerprint == 0 &&
       !impl_->assignment_template.graph_path.empty()) {
@@ -732,7 +922,58 @@ std::uint64_t SocketDispatcher::handshakes_completed() const {
   return impl_->handshakes_completed.load(std::memory_order_relaxed);
 }
 
-util::ShardLauncher SocketDispatcher::launcher(
+util::ShardLauncher SocketDispatcher::fork_launcher(
+    const CascadeForest& forest, const util::SupervisorOptions& options) {
+  Impl* impl = impl_.get();
+  util::ShardLauncher launcher;
+  launcher.launch = [impl, &forest, options](
+                        std::size_t shard_id,
+                        const std::vector<std::size_t>& items,
+                        std::uint32_t attempt) -> pid_t {
+    try {
+      auto [ours, theirs] = net::socket_pair();
+      const std::shared_ptr<Stream> stream =
+          impl->open_stream(shard_id, attempt, std::move(ours));
+      {
+        std::lock_guard<std::mutex> lock(impl->mutex);
+        impl->handlers.emplace_back([impl, stream] {
+          impl->serve_stream(*stream);
+        });
+      }
+      const pid_t pid = fork();
+      if (pid == 0) {
+        // The worker inherited the forest and its assignment: no hello, no
+        // auth, no graph. It also inherited this process's metrics and span
+        // rings; both are reset so its telemetry carries only its own
+        // deltas (merged back, the rest would count twice).
+        stream->socket.close();
+        util::apply_worker_rlimits(options);
+        util::metrics::global().reset();
+        WorkerAssignment assignment = impl->assignment_template;
+        assignment.items = items;
+        if (assignment.collect_trace && util::trace::compiled())
+          util::trace::start();
+        int code = 1;  // never unwind into the parent's stack
+        try {
+          code = stream_shard(theirs, forest, assignment, shard_id, attempt,
+                              util::trace::now_ns());
+        } catch (...) {
+        }
+        _exit(code);
+      }
+      if (pid > 0) transport_metrics().workers_launched.add(1);
+      return pid;  // on failure `theirs` closes: the handler reads the end
+    } catch (const std::exception& e) {
+      impl->log_event(std::string("dispatcher: worker launch failed: ") +
+                      e.what());
+      return -1;
+    }
+  };
+  launcher.reaped = [impl](std::size_t shard_id) { impl->drain(shard_id); };
+  return launcher;
+}
+
+util::ShardLauncher SocketDispatcher::exec_launcher(
     std::string worker_command, const util::SupervisorOptions& options) {
   Impl* impl = impl_.get();
   const std::string endpoint_text = impl->listener.endpoint().to_string();
@@ -782,7 +1023,31 @@ util::ShardLauncher SocketDispatcher::launcher(
       return -1;
     }
   };
+  launcher.reaped = [impl](std::size_t shard_id) { impl->drain(shard_id); };
   return launcher;
+}
+
+std::vector<std::size_t> SocketDispatcher::appended(
+    const std::vector<std::size_t>& items) {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  std::vector<std::size_t> done;
+  for (const std::size_t item : items)
+    if (impl_->appended.count(item) > 0) done.push_back(item);
+  return done;
+}
+
+std::vector<TreeCheckpointRecord> SocketDispatcher::take_records() {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  impl_->appended.clear();
+  return std::exchange(impl_->records, {});
+}
+
+void SocketDispatcher::merge_telemetry() {
+  std::unique_lock<std::mutex> lock(impl_->mutex);
+  auto held = std::exchange(impl_->telemetry, {});
+  lock.unlock();
+  for (auto& [attempt, telemetry] : held)
+    util::telemetry::merge_into_process(std::move(telemetry));
 }
 
 std::vector<std::string> SocketDispatcher::take_events() {
@@ -791,15 +1056,6 @@ std::vector<std::string> SocketDispatcher::take_events() {
 }
 
 namespace {
-
-/// Sends kError (best effort) and returns the worker exit code.
-int worker_fail(net::Socket& socket, const std::string& message, int code) {
-  std::string body;
-  wire::put_bytes(body, message);
-  socket.write_frame(message_frame(WireMessage::kError, body));
-  util::log_warn("socket worker: ", message);
-  return code;
-}
 
 /// Connect with capped exponential backoff + deterministic jitter under
 /// the connect deadline. Jitter derives from (shard, attempt, try) so a
@@ -1125,79 +1381,8 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
           3);
     view.advise_dontneed();  // solves only need the forest
 
-    const util::BudgetScope scope(assignment.budget);
-    TreeDpOptions dp = assignment.dp;
-    if (!assignment.budget.unlimited()) dp.budget = &scope;
-
-    std::uint64_t streamed = 0;
-    for (const std::size_t item : assignment.items) {
-      RID_FAILPOINT("shard.worker_tree");
-      if (item >= forest.trees.size())
-        return worker_fail(socket,
-                           "assigned tree " + std::to_string(item) +
-                               " out of range",
-                           3);
-      TreeCheckpointRecord record;
-      record.tree_index = item;
-      TreeDiagnostics tree;
-      const std::uint64_t start_ns = util::trace::now_ns();
-      internal::solve_tree_guarded(forest.trees[item], assignment.beta, dp,
-                                   record.solution, tree);
-      const std::uint64_t end_ns = util::trace::now_ns();
-      record.seconds = static_cast<double>(end_ns - start_ns) * 1e-9;
-      record.status = tree.status;
-      record.budget_hit = tree.budget_hit;
-      record.fallback_root_only = tree.fallback_root_only;
-      record.error = std::move(tree.error);
-      {
-        // Same span shape as the in-process path (rid.cpp) so merged
-        // traces read uniformly.
-        const util::trace::TagValue tags[] = {
-            {"tree_index", nullptr, static_cast<std::int64_t>(item)},
-            {"nodes", nullptr,
-             static_cast<std::int64_t>(forest.trees[item].size())},
-            {"status", status_name(tree.status), 0},
-        };
-        util::trace::emit_span("solve_tree", start_ns, end_ns,
-                               util::trace::current_tid(), tags);
-      }
-      if (!socket.write_frame(
-              message_frame(WireMessage::kRecord, encode_record(record))))
-        return 1;  // dispatcher gone; nothing durable happens without it
-      ++streamed;
-    }
-    {
-      const util::trace::TagValue tags[] = {
-          {"shard", nullptr, static_cast<std::int64_t>(shard_id)},
-          {"attempt", nullptr, static_cast<std::int64_t>(attempt)},
-          {"job", nullptr, static_cast<std::int64_t>(assignment.trace_id)},
-      };
-      util::trace::emit_span("worker_shard", worker_start_ns,
-                             util::trace::now_ns(),
-                             util::trace::current_tid(), tags);
-    }
-    {
-      // Telemetry before kDone, strictly best-effort: a failed send is the
-      // dispatcher's loss to count, never the worker's failure. The frame
-      // always flows (the metrics half is always compiled); span content
-      // rides along only when the dispatcher asked for a trace.
-      try {
-        if (assignment.collect_trace && util::trace::compiled())
-          util::trace::stop();
-        const util::telemetry::WorkerTelemetry telemetry =
-            util::telemetry::collect(
-                assignment.trace_id,
-                "worker shard " + std::to_string(shard_id) + " attempt " +
-                    std::to_string(attempt));
-        socket.write_frame(message_frame(
-            WireMessage::kTelemetry, util::telemetry::encode(telemetry)));
-      } catch (const std::exception&) {
-      }
-    }
-    std::string done;
-    wire::put_u64(done, streamed);
-    socket.write_frame(message_frame(WireMessage::kDone, done));
-    return 0;
+    return stream_shard(socket, forest, assignment, shard_id, attempt,
+                        worker_start_ns);
   } catch (const std::exception& e) {
     util::log_warn("socket worker: ", e.what());
     return 1;
@@ -1210,6 +1395,9 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
 
 struct SocketDispatcher::Impl {};
 
+SocketDispatcher::SocketDispatcher(std::string, WorkerAssignment) {
+  throw util::InputError("shard transport unsupported on this platform");
+}
 SocketDispatcher::SocketDispatcher(const util::net::Endpoint&, std::string,
                                    WorkerAssignment, DispatcherOptions) {
   throw util::InputError("socket transport unsupported on this platform");
@@ -1219,10 +1407,22 @@ const util::net::Endpoint& SocketDispatcher::endpoint() const {
   static util::net::Endpoint endpoint;
   return endpoint;
 }
-util::ShardLauncher SocketDispatcher::launcher(std::string,
-                                               const util::SupervisorOptions&) {
+util::ShardLauncher SocketDispatcher::fork_launcher(
+    const CascadeForest&, const util::SupervisorOptions&) {
   return {};
 }
+util::ShardLauncher SocketDispatcher::exec_launcher(
+    std::string, const util::SupervisorOptions&) {
+  return {};
+}
+std::vector<std::size_t> SocketDispatcher::appended(
+    const std::vector<std::size_t>&) {
+  return {};
+}
+std::vector<TreeCheckpointRecord> SocketDispatcher::take_records() {
+  return {};
+}
+void SocketDispatcher::merge_telemetry() {}
 std::vector<std::string> SocketDispatcher::take_events() { return {}; }
 std::uint64_t SocketDispatcher::handshakes_completed() const { return 0; }
 

@@ -1,21 +1,23 @@
-// Socket transport for sharded RID execution (DESIGN.md §13).
+// Shard transport for sharded RID execution (DESIGN.md §13): how a worker
+// process gets its trees and how its results come back.
 //
-// The fork transport ships work to workers implicitly: a forked child
-// inherits the extracted forest copy-on-write. The socket transport makes
-// the worker a separate *program* — `ridnet_cli worker`, fork+exec'd by the
-// dispatcher's ShardLauncher — so shard execution no longer depends on
-// sharing an address space, which is the stepping stone to dispatching
-// shards across machines. A worker receives everything it needs over the
-// wire: the forest fingerprint, the `.ridg` snapshot path to re-map, the
-// resolved solve configuration, and its tree list. It re-extracts the
-// forest, *verifies the fingerprint* (a worker that would compute against a
-// different forest refuses instead of silently diverging), solves its trees
-// serially in shard order, and streams each finished tree back as a frame
-// whose payload is byte-for-byte a checkpoint record. The dispatcher
-// appends streamed records to per-attempt checkpoint files in the run
-// directory, so the supervisor's durability probe, heartbeat, resume, and
-// bit-identity contract work unchanged — the transport is invisible to
-// everything above it.
+// Every worker solves its trees serially in shard order and sends each
+// finished tree as one frame whose payload is byte-for-byte a checkpoint
+// record, then one kTelemetry frame, then kDone. The SocketDispatcher in
+// the supervising process is the only code that appends those records to
+// the run directory, and it keeps them in memory for the supervisor's
+// durability probe and the final merge (the directory is read only on
+// resume). Two launchers differ only in how a worker gets its work:
+//  * fork_launcher(): a fork of the supervising process inherits the
+//    forest and its assignment, skips the handshake, and streams over a
+//    socketpair(2).
+//  * exec_launcher(): `ridnet_cli worker`, fork+exec'd, connects to the
+//    dispatcher's listener, so shards need not share an address space (the
+//    stepping stone to other machines). It receives the forest
+//    fingerprint, the `.ridg` snapshot to re-map, the resolved solve
+//    configuration and its tree list over the wire, re-extracts the forest
+//    and *verifies the fingerprint* (a worker that would compute against a
+//    different forest refuses instead of silently diverging).
 //
 // Message grammar (each message is one util::net frame; first payload byte
 // is the type):
@@ -67,10 +69,13 @@
 // Fault semantics: any damaged, torn, or missing frame ends the attempt —
 // the dispatcher drops the connection, the worker exits nonzero (or is
 // SIGKILLed by the supervisor's heartbeat), and the supervisor requeues the
-// shard with backoff exactly as it would a fork-worker crash. Records
-// already appended are durable; nothing is ever un-persisted. Worker
-// connects retry with capped exponential backoff + deterministic jitter
-// under a connect deadline (a daemon mid-restart is a retry, not a loss).
+// shard with backoff exactly as it would any worker crash. Records already
+// appended are durable; nothing is ever un-persisted. When the supervisor
+// reaps a worker, the dispatcher first drains every frame that worker left
+// buffered, so a last record (and kDone) written just before exit counts
+// for the attempt that produced it. Worker connects retry with capped
+// exponential backoff + deterministic jitter under a connect deadline (a
+// daemon mid-restart is a retry, not a loss).
 //
 // The one exception is kTelemetry (sent once, right before kDone): it is
 // best-effort observability, never part of the result. A damaged or
@@ -85,6 +90,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/rid.hpp"
 #include "util/net.hpp"
 #include "util/proc_supervisor.hpp"
@@ -168,16 +174,6 @@ struct WorkerAssignment {
 std::string encode_assignment(const WorkerAssignment& assignment);
 WorkerAssignment decode_assignment(std::string_view body);
 
-/// Dispatcher side of the socket transport, owned by the sharded runner for
-/// the duration of one supervise_shards() call. Listens on `endpoint`,
-/// accepts worker connections on a background thread, and for each
-/// handshake streams the worker's records into a fresh per-attempt
-/// checkpoint file under `run_dir` (same naming scheme as the fork path).
-///
-/// Failpoints: `net.worker_exec` fires in the launcher before forking the
-/// worker (a `throw` action models exec failure — the supervisor sees
-/// launch failure and requeues); `net.accept`, `net.frame_read`,
-/// `net.frame_write`, `net.torn_frame` fire in util/net.
 /// Dispatcher-side security/shipping knobs (everything that must NOT ride
 /// inside the serialized assignment).
 struct DispatcherOptions {
@@ -190,12 +186,25 @@ struct DispatcherOptions {
   std::string graph_cache_dir;
 };
 
+/// Dispatcher side of the shard transport, owned by the sharded runner for
+/// one run (both phases when the socket transport falls back to fork). A
+/// handler thread per worker attempt pumps its frames into a fresh
+/// checkpoint file under `run_dir` and into the in-memory record set.
+///
+/// Failpoints: `net.worker_exec` fires in the exec launcher before forking
+/// the worker (a `throw` action models exec failure — the supervisor sees
+/// launch failure and requeues); `net.telemetry_frame` fires on each
+/// received kTelemetry frame; `checkpoint.append` fires on each record
+/// append, in this process for every launcher; `net.accept`,
+/// `net.frame_read`, `net.frame_write`, `net.torn_frame` fire in util/net.
 class SocketDispatcher {
  public:
-  /// Binds immediately (throws util::InputError when the endpoint cannot be
-  /// bound). `assignment_template` carries everything but the per-shard
-  /// item list, which launcher() fills in per attempt; its graph
-  /// fingerprint is resolved from graph_path here when left 0.
+  /// For forked workers only: binds nothing. `assignment_template` carries
+  /// the solve configuration; items are filled in per attempt.
+  SocketDispatcher(std::string run_dir, WorkerAssignment assignment_template);
+  /// Additionally binds `endpoint` for exec'd workers (throws
+  /// util::InputError when it cannot be bound) and resolves the template's
+  /// graph fingerprint from graph_path when left 0.
   SocketDispatcher(const util::net::Endpoint& endpoint, std::string run_dir,
                    WorkerAssignment assignment_template,
                    DispatcherOptions options = {});
@@ -206,23 +215,41 @@ class SocketDispatcher {
   /// The endpoint actually bound (ephemeral tcp ports resolved).
   const util::net::Endpoint& endpoint() const;
 
-  /// Launcher for supervise_shards: registers the attempt's items, then
+  /// Launcher that forks this process; the child keeps `forest` (borrowed)
+  /// copy-on-write. -1 when the socketpair, checkpoint file or fork fails.
+  util::ShardLauncher fork_launcher(const CascadeForest& forest,
+                                    const util::SupervisorOptions& options);
+
+  /// Launcher for supervise_shards that registers the attempt's items, then
   /// fork+execs `worker_command worker --connect <endpoint> --shard <id>
   /// --attempt <n>`. Returns -1 (launch failure) when the fork fails or the
   /// `net.worker_exec` failpoint throws; exec failure inside the child
-  /// exits 127 (a crash to the supervisor). The returned launcher borrows
-  /// this dispatcher — it must not outlive it.
-  util::ShardLauncher launcher(std::string worker_command,
-                               const util::SupervisorOptions& options);
+  /// exits 127 (a crash to the supervisor). Needs the listening
+  /// constructor.
+  util::ShardLauncher exec_launcher(std::string worker_command,
+                                    const util::SupervisorOptions& options);
+
+  /// Which of `items` have a record appended so far — the supervisor's
+  /// durability probe.
+  std::vector<std::size_t> appended(const std::vector<std::size_t>& items);
+
+  /// Drains every record appended so far, in arrival order (a tree two
+  /// attempts delivered appears twice, byte-identical).
+  std::vector<TreeCheckpointRecord> take_records();
+
+  /// Merges held worker telemetry into this process in (shard, attempt)
+  /// order. Call after supervise_shards(): merging takes the registry lock,
+  /// which no thread may hold while the supervisor forks.
+  void merge_telemetry();
 
   /// Human-readable transport events (handshake oddities, damaged frames,
   /// refused workers) for RunDiagnostics::shard_events. Drains the log.
   std::vector<std::string> take_events();
 
-  /// Completed handshakes since construction (a worker got past hello +
-  /// challenge and received kAssign). The sharded runner's grace-budget
-  /// watchdog reads this to decide whether the socket transport is alive
-  /// at all before falling back to the fork transport.
+  /// Completed handshakes since construction (an exec'd worker got past
+  /// hello + challenge and received kAssign). The sharded runner's
+  /// grace-budget watchdog reads this to decide whether the socket
+  /// transport is alive at all before falling back to the fork launcher.
   std::uint64_t handshakes_completed() const;
 
  private:

@@ -9,6 +9,10 @@
 
 #include "util/flight_recorder.hpp"
 
+#if !defined(_WIN32)
+#include <pthread.h>
+#endif
+
 namespace rid::util::failpoint {
 
 namespace detail {
@@ -41,6 +45,15 @@ Registry& registry() {
   static Registry instance;
   return instance;
 }
+
+#if !defined(_WIN32)
+// Forked workers hit failpoints while parent threads keep hitting them:
+// holding the lock across fork() keeps a child from inheriting it taken.
+[[maybe_unused]] const int kForkGuard =
+    ::pthread_atfork([] { registry().mutex.lock(); },
+                     [] { registry().mutex.unlock(); },
+                     [] { registry().mutex.unlock(); });
+#endif
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t");

@@ -28,7 +28,10 @@
 // Examples:
 //     "tree_dp.compute=throw"              every DP compute throws
 //     "shard.worker_tree=abort@2"          worker dies at its 2nd tree
-//     "checkpoint.append=sleep(500)@1"     first record write stalls 500 ms
+//     "checkpoint.append=sleep(500)@1"     first record append stalls 500 ms
+//                                          (appends run in the supervising
+//                                          process: abort there crashes the
+//                                          run, and --resume recovers it)
 //     "net.partition=window(400)@3"        3rd net op opens a 400 ms outage
 //     "net.drop_rate=drop(25)"             25% of frames vanish silently
 //

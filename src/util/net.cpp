@@ -300,6 +300,30 @@ bool Socket::write_frame(std::string_view payload) {
   return true;
 }
 
+bool Socket::wait_readable(double timeout_seconds) {
+  if (fd_ < 0) return true;  // a read reports kClosed at once
+  const bool unlimited = timeout_seconds == kUnlimitedSeconds;
+  return net::wait_readable(
+      fd_,
+      std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(unlimited ? 0.0 : timeout_seconds)),
+      unlimited);
+}
+
+void Socket::shutdown() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+std::pair<Socket, Socket> socket_pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0)
+    throw InputError(std::string("socketpair() failed: ") +
+                     std::strerror(errno));
+  net_metrics().connected.add(1);
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
 Listener::Listener(Listener&& other) noexcept
     : fd_(other.fd_),
       endpoint_(std::move(other.endpoint_)),
@@ -464,6 +488,11 @@ FrameStatus Socket::read_frame(std::string&, double) {
   return FrameStatus::kClosed;
 }
 bool Socket::write_frame(std::string_view) { return false; }
+bool Socket::wait_readable(double) { return true; }
+void Socket::shutdown() noexcept {}
+std::pair<Socket, Socket> socket_pair() {
+  throw InputError("socket transport unsupported on this platform");
+}
 
 Listener::Listener(Listener&&) noexcept {}
 Listener& Listener::operator=(Listener&&) noexcept { return *this; }

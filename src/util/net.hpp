@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace rid::util::net {
 
@@ -105,9 +106,21 @@ class Socket {
   /// on the wire.
   bool write_frame(std::string_view payload);
 
+  /// True when a read would not block (data, end of stream, shutdown())
+  /// within `timeout_seconds`; 0 just looks.
+  bool wait_readable(double timeout_seconds);
+
+  /// Ends both directions but keeps the descriptor, so unlike close() it
+  /// is safe while another thread waits on the socket (which wakes).
+  void shutdown() noexcept;
+
  private:
   int fd_ = -1;
 };
+
+/// A connected pair of Unix stream sockets (close-on-exec): the channel a
+/// forked shard worker streams its frames over. Throws util::InputError.
+std::pair<Socket, Socket> socket_pair();
 
 /// A bound, listening socket (move-only; closes — and unlinks a unix socket
 /// file — on destruction).

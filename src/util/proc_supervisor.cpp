@@ -36,10 +36,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Exit code for a C++ exception escaping the child body (a "soft" failure,
-/// still a worker loss from the supervisor's point of view).
-constexpr int kChildExceptionExit = 99;
-
 /// Supervisor-side metrics (names shared with the RID diagnostics).
 struct ShardMetrics {
   metrics::Counter& spawned =
@@ -91,12 +87,6 @@ struct ShardState {
   std::uint64_t span_start_ns = 0;
 };
 
-/// How an attempt becomes a process, transport-erased: returns the worker
-/// pid or -1 on launch failure.
-using LaunchFn = std::function<pid_t(std::size_t shard_id,
-                                     const std::vector<std::size_t>& items,
-                                     std::uint32_t attempt)>;
-
 double backoff_ms(const SupervisorOptions& options, std::size_t shard_id,
                   std::uint32_t attempts) {
   double ms = options.backoff_initial_ms;
@@ -119,13 +109,15 @@ int encode_exit(int status) {
   return -1;
 }
 
+}  // namespace
+
 /// The transport-agnostic supervision loop: state machine, heartbeat,
-/// deadline, backoff, poison-pill, cancellation. Only launch() knows how a
-/// worker process comes to exist.
-SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
-                                const SupervisorOptions& options,
-                                const LaunchFn& launch,
-                                const ShardDurableItems& durable) {
+/// deadline, backoff, poison-pill, cancellation. Only the launcher knows
+/// how a worker process comes to exist.
+SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
+                                  const SupervisorOptions& options,
+                                  const ShardLauncher& launcher,
+                                  const ShardDurableItems& durable) {
   SupervisorReport report;
   ShardMetrics& sm = shard_metrics();
 
@@ -241,7 +233,8 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
     }
     ++state.attempts;
     state.span_start_ns = trace::now_ns();
-    const pid_t pid = launch(state.shard_id, state.remaining, state.attempts);
+    const pid_t pid =
+        launcher.launch(state.shard_id, state.remaining, state.attempts);
     if (pid < 0) {
       // Launch failure (fork EAGAIN under load, exec error, transport
       // refusal): same path as a crash, so the backoff gives the system
@@ -268,9 +261,16 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
     log_event(event.str());
   };
 
-  const auto reap = [&](ShardState& state, int status) {
+  /// The worker of `state` is gone: let the transport absorb what it left
+  /// in flight before anyone asks what is durable.
+  const auto worker_gone = [&](ShardState& state) {
     state.pid = -1;
     release_slot(state);
+    if (launcher.reaped) launcher.reaped(state.shard_id);
+  };
+
+  const auto reap = [&](ShardState& state, int status) {
+    worker_gone(state);
     const int exit_code = encode_exit(status);
     emit_attempt_span(state, exit_code);
     const std::size_t completed = drop_durable(state);
@@ -324,7 +324,7 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
         while (wait_child(state.pid, &status, 0, sm) < 0 && errno == EINTR) {
         }
         emit_attempt_span(state, encode_exit(status));
-        release_slot(state);
+        worker_gone(state);
         drop_durable(state);
         state.phase = ShardState::Phase::kDone;
         std::ostringstream event;
@@ -361,8 +361,7 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
       }
       if (r < 0 && errno != EINTR) {
         // Lost track of the child (should not happen) — treat as a crash.
-        state.pid = -1;
-        release_slot(state);
+        worker_gone(state);
         emit_attempt_span(state, -1);
         drop_durable(state);
         ++report.crashes;
@@ -405,8 +404,6 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
   return report;
 }
 
-}  // namespace
-
 void apply_worker_rlimits(const SupervisorOptions& options) noexcept {
   if (options.mem_limit_bytes > 0) {
     struct rlimit limit {};
@@ -427,66 +424,18 @@ void apply_worker_rlimits(const SupervisorOptions& options) noexcept {
   }
 }
 
-SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
-                                  const SupervisorOptions& options,
-                                  const ShardChildBody& child_body,
-                                  const ShardDurableItems& durable) {
-  const LaunchFn launch = [&](std::size_t shard_id,
-                              const std::vector<std::size_t>& items,
-                              std::uint32_t attempt) -> pid_t {
-    const pid_t pid = fork();
-    if (pid == 0) {
-      // Worker. Never return into the parent's stack: convert exceptions to
-      // an exit code and leave via _exit (no atexit handlers, no flushing
-      // of streams duplicated from the parent).
-      apply_worker_rlimits(options);
-      try {
-        child_body(shard_id, items, attempt);
-      } catch (...) {
-        _exit(kChildExceptionExit);
-      }
-      _exit(0);
-    }
-    return pid;
-  };
-  return supervise_impl(shards, options, launch, durable);
-}
-
-SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
-                                  const SupervisorOptions& options,
-                                  const ShardLauncher& launcher,
-                                  const ShardDurableItems& durable) {
-  return supervise_impl(shards, options, launcher.launch, durable);
-}
-
 #else  // !RID_HAS_FORK
 
 void apply_worker_rlimits(const SupervisorOptions&) noexcept {}
-
-namespace {
-
-SupervisorReport unsupported_report() {
-  SupervisorReport report;
-  report.supported = false;
-  report.events.emplace_back(
-      "process isolation unsupported on this platform - run in-process");
-  return report;
-}
-
-}  // namespace
-
-SupervisorReport supervise_shards(const std::vector<ShardWork>&,
-                                  const SupervisorOptions&,
-                                  const ShardChildBody&,
-                                  const ShardDurableItems&) {
-  return unsupported_report();
-}
 
 SupervisorReport supervise_shards(const std::vector<ShardWork>&,
                                   const SupervisorOptions&,
                                   const ShardLauncher&,
                                   const ShardDurableItems&) {
-  return unsupported_report();
+  SupervisorReport report;
+  report.events.emplace_back(
+      "process isolation unsupported on this platform - run in-process");
+  return report;
 }
 
 #endif

@@ -29,19 +29,21 @@
 // treated as a crash — this is how hangs (e.g. a deadlock or a failpoint
 // sleep) are converted into the same requeue path as crashes.
 //
-// Durability is the caller's job: the child body must persist each finished
-// item (the RID runner streams checkpoint records), and `durable` must
-// report, from the parent, which items of a shard are already persisted.
-// The supervisor never passes data between processes itself — everything
-// flows through the caller's durable store, which is exactly what makes
-// resume-after-crash work.
+// Durability is the caller's job: the launcher's transport must persist
+// each finished item (the RID dispatcher appends streamed checkpoint
+// records), and `durable` must report, from the parent, which items of a
+// shard are already persisted. The supervisor never passes data between
+// processes itself — everything flows through the caller's durable store,
+// which is exactly what makes resume-after-crash work. Right after it reaps
+// a worker the supervisor calls the launcher's `reaped` hook, so a
+// transport can absorb whatever the dead worker left in flight before the
+// durable probe decides between completion and requeue.
 //
-// POSIX only (fork/waitpid/kill). On non-POSIX builds run() reports
-// supported = false and does nothing; callers fall back to in-process
-// execution. fork() without exec() inherits the parent's memory (the forest
-// is shared copy-on-write), so child bodies must not rely on threads
-// created before the fork and must terminate via _exit — run() handles the
-// _exit, and catches exceptions escaping the body into exit code 99.
+// POSIX only (fork/waitpid/kill). On non-POSIX builds supervise_shards()
+// does nothing; callers fall back to in-process execution. The supervisor
+// only ever sees pids: how a worker comes to exist (a plain fork that
+// inherits the parent's memory, or fork+exec of a worker binary) is the
+// launcher's business.
 #pragma once
 
 #include <atomic>
@@ -131,7 +133,6 @@ struct SupervisorOptions {
 /// the caller: durable items are in its own store; poisoned/abandoned ones
 /// need a caller-side fallback.
 struct SupervisorReport {
-  bool supported = true;  // false = no fork() on this platform; nothing ran
   bool cancelled = false;
   std::uint64_t workers_spawned = 0;
   std::uint64_t crashes = 0;  // nonzero exits, signals, and supervisor kills
@@ -142,30 +143,20 @@ struct SupervisorReport {
   std::vector<std::string> events;           // human-readable log
 };
 
-/// Runs in the forked child: complete the given items (persisting each one)
-/// and return. A throw is converted to exit code 99; a crash is a crash.
-using ShardChildBody =
-    std::function<void(std::size_t shard_id,
-                       const std::vector<std::size_t>& items,
-                       std::uint32_t attempt)>;
-
 /// Transport abstraction: how a shard attempt becomes a worker process.
-/// The launch function spawns a process for the attempt (e.g. fork+exec of
-/// `ridnet_cli worker` wired to a socket dispatcher) and returns its pid,
-/// or -1 on launch failure — which the supervisor treats exactly like a
-/// crash (backoff + requeue), so a missing binary or an exec error cannot
-/// wedge a run. A distinct struct (not a std::function alias) so the
-/// supervise_shards overloads stay unambiguous: a pid_t-returning lambda
-/// would also convert to ShardChildBody.
-///
-/// Launchers that fork themselves should call apply_worker_rlimits() in the
-/// child between fork and exec so SupervisorOptions resource caps apply to
-/// every transport.
+/// `launch` spawns one and returns its pid, or -1 on launch failure — which
+/// the supervisor treats exactly like a crash (backoff + requeue), so a
+/// missing binary or an exec error cannot wedge a run. `reaped` (optional)
+/// runs once a worker of `shard_id` is gone (waitpid returned), before the
+/// durable probe: all the worker wrote is buffered by then, for the
+/// transport to absorb without waiting. Launchers that fork call
+/// apply_worker_rlimits() in the child.
 struct ShardLauncher {
   std::function<pid_t(std::size_t shard_id,
                       const std::vector<std::size_t>& items,
                       std::uint32_t attempt)>
       launch;
+  std::function<void(std::size_t shard_id)> reaped;
 };
 
 /// Parent-side durability probe: which of `shard`'s items are persisted
@@ -176,15 +167,7 @@ using ShardDurableItems =
 
 /// Supervises the shards to completion (or cancellation). Blocking;
 /// single-threaded parent loop. See the file header for semantics.
-/// Workers are forked copies of this process running `child_body`.
-SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
-                                  const SupervisorOptions& options,
-                                  const ShardChildBody& child_body,
-                                  const ShardDurableItems& durable);
-
-/// Same supervision semantics, but worker processes come from `launcher`
-/// (socket transport, exec'd workers, ...). The supervisor only ever sees
-/// pids — heartbeat, deadline, backoff, poison-pill, and cancellation work
+/// Heartbeat, deadline, backoff, poison-pill, and cancellation work
 /// identically for any transport.
 SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
                                   const SupervisorOptions& options,
@@ -193,8 +176,8 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
 
 /// Applies SupervisorOptions::{mem_limit_bytes, cpu_limit_seconds} to the
 /// calling process (setrlimit RLIMIT_AS / RLIMIT_CPU; no-op for 0 / on
-/// non-POSIX builds). The built-in fork transport calls this in the child;
-/// custom launchers call it between fork and exec.
+/// non-POSIX builds). Launchers call it in the forked child (before exec,
+/// when they exec).
 void apply_worker_rlimits(const SupervisorOptions& options) noexcept;
 
 /// True when this platform can fork workers (POSIX).

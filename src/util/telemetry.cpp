@@ -1,12 +1,8 @@
 #include "util/telemetry.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "util/errors.hpp"
-#include "util/fnv.hpp"
 #include "util/wire.hpp"
 
 #ifndef _WIN32
@@ -26,8 +22,6 @@ std::uint64_t own_pid() {
   return 0;
 #endif
 }
-
-void damaged() { metrics::global().counter("telemetry.damaged").add(1); }
 
 }  // namespace
 
@@ -192,64 +186,6 @@ void merge_into_process(WorkerTelemetry telemetry) {
   metrics::global().merge(telemetry.metrics);
   if (!telemetry.spans.spans.empty() || telemetry.spans.spans_dropped > 0) {
     trace::add_remote_process(std::move(telemetry.spans));
-  }
-}
-
-bool write_sidecar_file(const std::string& path,
-                        const WorkerTelemetry& telemetry) {
-  const std::string payload = encode(telemetry);
-  std::string blob(kSidecarMagic);
-  wire::put_u32(blob, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u32(blob, fnv1a32(payload));
-  blob += payload;
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return false;
-  const bool wrote =
-      std::fwrite(blob.data(), 1, blob.size(), file) == blob.size();
-  const bool closed = std::fclose(file) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-std::optional<WorkerTelemetry> read_sidecar_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;  // never written: not damage
-  std::string blob;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) blob.append(buf, n);
-  std::fclose(file);
-  if (blob.size() < kSidecarMagic.size() + 8 ||
-      std::string_view(blob).substr(0, kSidecarMagic.size()) !=
-          kSidecarMagic) {
-    damaged();
-    return std::nullopt;
-  }
-  wire::Reader header(
-      std::string_view(blob).substr(kSidecarMagic.size()), "telemetry sidecar");
-  const std::uint32_t length = header.u32();
-  const std::uint32_t checksum = header.u32();
-  const std::string_view payload =
-      std::string_view(blob).substr(kSidecarMagic.size() + 8);
-  if (payload.size() != length || fnv1a32(payload) != checksum) {
-    damaged();
-    return std::nullopt;
-  }
-  try {
-    return decode(payload);
-  } catch (const InputError&) {
-    damaged();
-    return std::nullopt;
   }
 }
 

@@ -2,22 +2,18 @@
 // parent — its span rings and its metrics registry, stamped with the run's
 // trace id — plus the codec that moves it across process boundaries.
 //
-// Two transports carry the same encoded payload (DESIGN.md §14):
-//  * socket workers send it as one checksummed kTelemetry frame right
-//    before kDone (core/shard_transport);
-//  * fork workers write it as a per-attempt ".tele" sidecar file next to
-//    their checkpoints (core/rid_sharded), which the parent harvests after
-//    supervision.
+// Every worker, forked or exec'd, sends it as one checksummed kTelemetry
+// frame right before kDone (core/shard_transport). The dispatcher holds
+// the decoded bundles until supervision ends, then merges them in (shard,
+// attempt) order (DESIGN.md §14).
 //
-// Telemetry is strictly best-effort: a torn frame or damaged sidecar bumps
-// the "telemetry.damaged" counter and is otherwise ignored — detection
-// results never depend on it. The codec is always compiled; in
-// RID_TRACING=OFF builds collect() simply carries no spans (the metrics
-// half still flows).
+// Telemetry is strictly best-effort: a damaged frame bumps the
+// "telemetry.damaged" counter and is otherwise ignored — detection results
+// never depend on it. The codec is always compiled; in RID_TRACING=OFF
+// builds collect() simply carries no spans (the metrics half still flows).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -30,11 +26,6 @@ namespace rid::util::telemetry {
 /// mismatch, which callers treat as damage).
 inline constexpr std::uint32_t kTelemetryVersion = 1;
 
-/// Sidecar file layout: magic, u32 payload length, u32 FNV-1a checksum of
-/// the payload, payload bytes.
-inline constexpr std::string_view kSidecarMagic = "RIDTELE1";
-inline constexpr std::string_view kSidecarExtension = ".tele";
-
 /// Everything one worker attempt reports back.
 struct WorkerTelemetry {
   std::uint64_t trace_id = 0;  // echoed from the assignment; 0 = untagged
@@ -42,8 +33,7 @@ struct WorkerTelemetry {
   metrics::MetricsSnapshot metrics;
 };
 
-/// Serializes to the versioned wire payload (shared by kTelemetry frames
-/// and sidecar files).
+/// Serializes to the versioned kTelemetry frame payload.
 std::string encode(const WorkerTelemetry& telemetry);
 
 /// Parses an encoded payload. Throws util::InputError on truncation,
@@ -58,16 +48,5 @@ WorkerTelemetry collect(std::uint64_t trace_id, std::string process_label);
 /// Folds a worker's telemetry into this process: spans into the trace
 /// remote-process store, metrics into the global registry.
 void merge_into_process(WorkerTelemetry telemetry);
-
-/// Writes `telemetry` to `path` atomically (tmp + rename). False on any IO
-/// failure — callers treat sidecars as best-effort.
-bool write_sidecar_file(const std::string& path,
-                        const WorkerTelemetry& telemetry);
-
-/// Reads a sidecar written by write_sidecar_file. Missing file returns
-/// nullopt silently (the worker died before reporting); a present-but-
-/// damaged file (bad magic, bad checksum, truncation, version skew) bumps
-/// the "telemetry.damaged" counter and returns nullopt.
-std::optional<WorkerTelemetry> read_sidecar_file(const std::string& path);
 
 }  // namespace rid::util::telemetry

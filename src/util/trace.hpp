@@ -95,8 +95,8 @@ struct StageTotal {
 // --- Cross-process span merging (DESIGN.md §14) ---------------------------
 //
 // Shard workers run in their own processes; their spans arrive back at the
-// parent over kTelemetry frames (socket transport) or .tele sidecar files
-// (fork transport) and are staged here so chrome_trace_json() can emit one
+// parent over kTelemetry frames (forked and exec'd workers alike) and are
+// staged here so chrome_trace_json() can emit one
 // merged trace with correct pid/tid process metadata. Remote span strings
 // are owned (they come off the wire, not from static literals). These
 // structs stay available in RID_TRACING=OFF builds so the telemetry codec

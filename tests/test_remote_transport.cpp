@@ -145,8 +145,11 @@ class RemoteTransportTest : public ::testing::Test {
   const std::string& ridg() {
     static const std::string path = [] {
       const Scenario& s = scenario();
+      // Per process: ctest runs these cases concurrently.
       const std::string p =
-          (fs::path(::testing::TempDir()) / "remote_transport.ridg").string();
+          (fs::path(::testing::TempDir()) /
+           ("remote_transport_" + std::to_string(::getpid()) + ".ridg"))
+              .string();
       graph::write_columnar_file(s.graph, s.states, p,
                                  graph::kRidgFlagDiffusion);
       return p;

@@ -92,8 +92,11 @@ const Scenario& scenario() {
     s.states = cascade.state;
     s.config.beta = 0.1;
     s.config.num_threads = 2;
-    s.ridg_path =
-        (fs::path(::testing::TempDir()) / "serve_scenario.ridg").string();
+    // Per process: ctest runs the ServeTest cases concurrently, and they
+    // would otherwise rewrite one shared file under each other's workers.
+    s.ridg_path = (fs::path(::testing::TempDir()) /
+                   ("serve_scenario_" + std::to_string(::getpid()) + ".ridg"))
+                      .string();
     graph::write_columnar_file(s.graph, s.states, s.ridg_path,
                                graph::kRidgFlagDiffusion);
     return s;
@@ -592,6 +595,30 @@ TEST_F(ServeTest, CrashStormSoakEveryJobTerminatesAndMatches) {
   }
   const ServeReport report = daemon.stop();
   EXPECT_EQ(report.jobs_completed, 3u);
+}
+
+TEST_F(ServeTest, ControlPlaneHandlersAreJoinedAsTheyFinish) {
+  // Every control request runs on its own handler thread. A daemon that
+  // keeps finished handles pins one stack mapping per request ever served
+  // (and every later fork of a shard worker copies them all).
+  const auto maps_lines = [] {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t lines = 0;
+    for (std::string line; std::getline(maps, line);) ++lines;
+    return lines;
+  };
+  if (maps_lines() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  DaemonHandle daemon(serve_options(run_dir("handler_reap")));
+  ASSERT_FALSE(daemon.endpoint().empty()) << daemon.startup_error();
+  for (int i = 0; i < 20; ++i)  // warm up allocator and stack caches
+    ASSERT_EQ(query_job(daemon.endpoint(), 999).phase, JobPhase::kUnknown);
+  const std::size_t before = maps_lines();
+  for (int i = 0; i < 200; ++i)
+    ASSERT_EQ(query_job(daemon.endpoint(), 999).phase, JobPhase::kUnknown);
+  const std::size_t after = maps_lines();
+  EXPECT_LT(after, before + 16)
+      << "maps grew from " << before << " to " << after << " lines";
+  daemon.stop();
 }
 
 // --- live introspection (kStats) ------------------------------------------

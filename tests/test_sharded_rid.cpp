@@ -299,6 +299,100 @@ TEST_F(ShardedRidTest, PoisonPillIsDemotedAndItsVerdictPersists) {
   EXPECT_EQ(after.diagnostics.num_degraded, adopted);
 }
 
+TEST_F(ShardedRidTest, TornFrameFromForkedWorkerKeepsDurablePrefix) {
+  const Scenario& s = scenario();
+  const DetectionResult want = run_rid(s.graph, s.states, s.config);
+  // Forked workers inherit the arming: every attempt streams two whole
+  // frames, then dies (SIGABRT) halfway through writing its third. The
+  // records before the torn frame are the durable prefix — every crashed
+  // attempt must have completed items, and the rest requeue.
+  util::failpoint::arm("net.torn_frame=abort@3");
+  ShardedConfig config = sharded(2, run_dir("torn_frame"));
+  config.supervisor.max_shard_attempts = 64;
+  const DetectionResult got =
+      run_rid_sharded(s.graph, s.states, s.config, config);
+  util::failpoint::disarm_all();
+
+  expect_identical(got, want);
+  EXPECT_TRUE(got.diagnostics.all_ok());
+  EXPECT_GT(got.diagnostics.shard_crashes, 0u);
+  std::size_t deaths = 0;
+  for (const std::string& event : got.diagnostics.shard_events) {
+    if (event.find("died on signal") == std::string::npos) continue;
+    ++deaths;
+    EXPECT_EQ(event.find(" 0 items completed"), std::string::npos) << event;
+  }
+  EXPECT_GT(deaths, 0u);
+}
+
+TEST_F(ShardedRidTest, CleanRunsNeverRetryOnEitherTransport) {
+  if (std::string(RIDNET_CLI_PATH).empty())
+    GTEST_SKIP() << "ridnet_cli path not wired into this build";
+  // A worker that streamed its last record and kDone and exited may be
+  // reaped before the dispatcher has read those frames; the reap must
+  // drain them first, or the supervisor sees "0 items completed" and burns
+  // a retry re-solving the shard.
+  const Scenario& s = scenario();
+  const std::string ridg =
+      (fs::path(::testing::TempDir()) / "clean_runs.ridg").string();
+  graph::write_columnar_file(s.graph, s.states, ridg,
+                             graph::kRidgFlagDiffusion);
+  const auto view = graph::ColumnarGraphView::open(ridg);
+  const DetectionResult want = run_rid(view, view.states(), s.config);
+  for (const ShardTransport transport :
+       {ShardTransport::kFork, ShardTransport::kSocket}) {
+    for (int run = 0; run < 20; ++run) {
+      ShardedConfig config = sharded(4, run_dir("clean_runs"));
+      config.transport = transport;
+      config.worker_command = RIDNET_CLI_PATH;
+      config.graph_path = ridg;
+      const DetectionResult got =
+          run_rid_sharded(view, view.states(), s.config, config);
+      SCOPED_TRACE(std::string(transport == ShardTransport::kFork ? "fork"
+                                                                  : "socket") +
+                   " run " + std::to_string(run));
+      expect_identical(got, want);
+      EXPECT_EQ(got.diagnostics.shard_retries, 0u);
+      EXPECT_EQ(got.diagnostics.shard_crashes, 0u);
+    }
+  }
+}
+
+TEST_F(ShardedRidTest, ResumesRunDirsWithPerWorkerPidNamesAndStrayTelemetry) {
+  // Run directories written before the dispatcher became the only writer
+  // hold one checkpoint file per forked child pid, plus per-attempt
+  // telemetry files nothing reads any more. They must resume unchanged.
+  const Scenario& s = scenario();
+  const DetectionResult want = run_rid(s.graph, s.states, s.config);
+  const std::string dir = run_dir("legacy_names");
+  run_rid_sharded(s.graph, s.states, s.config, sharded(2, dir));
+  std::size_t renamed = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".ckpt") continue;
+    fs::rename(entry.path(), fs::path(dir) / ("shard-" +
+                                              std::to_string(renamed) +
+                                              "-p" +
+                                              std::to_string(40000 + renamed) +
+                                              "-a1.ckpt"));
+    ++renamed;
+  }
+  ASSERT_GT(renamed, 0u);
+  {
+    std::ofstream stray(fs::path(dir) / "telemetry-0-p39999-a1.tele",
+                        std::ios::binary);
+    stray << "RIDTELE1 not a checkpoint";
+  }
+
+  ShardedConfig resume = sharded(2, dir);
+  resume.resume = true;
+  const DetectionResult got =
+      run_rid_sharded(s.graph, s.states, s.config, resume);
+  expect_identical(got, want);
+  EXPECT_EQ(got.diagnostics.resumed_trees, got.num_trees);
+  for (const std::string& event : got.diagnostics.shard_events)
+    EXPECT_EQ(event.find("checkpoint:"), std::string::npos) << event;
+}
+
 TEST_F(ShardedRidTest, HangingWorkerIsKilledAndWorkRecovered) {
   const Scenario& s = scenario();
   const DetectionResult want = run_rid(s.graph, s.states, s.config);

@@ -1,9 +1,10 @@
 // Cross-process telemetry (DESIGN.md §14): the flight recorder ring, the
 // Prometheus metrics exposition, cross-process metrics merging, the worker
-// telemetry codec (kTelemetry frames / .tele sidecars), and the merged
-// multi-process Chrome trace — including the end-to-end contracts:
-//  * a sharded socket run with a crashed worker still produces one merged
-//    trace with spans from at least two pids;
+// telemetry codec (kTelemetry frames), and the merged multi-process Chrome
+// trace — including the end-to-end contracts, for forked and exec'd
+// workers alike:
+//  * a sharded run with a crashed worker still produces one merged trace
+//    with spans from at least two pids;
 //  * a torn kTelemetry frame is counted ("telemetry.damaged"), never fatal,
 //    and detection results stay bit-identical with telemetry damaged.
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +33,14 @@
 #ifndef RIDNET_CLI_PATH
 #define RIDNET_CLI_PATH ""
 #endif
+
+namespace rid::core {
+// Readable parameter values in the TelemetryE2ETest names (ctest shows
+// .../fork and .../socket).
+void PrintTo(ShardTransport transport, std::ostream* os) {
+  *os << (transport == ShardTransport::kFork ? "fork" : "socket");
+}
+}  // namespace rid::core
 
 namespace rid::util {
 namespace {
@@ -249,51 +257,6 @@ TEST(TelemetryCodec, RejectsTruncationTrailingBytesAndVersionSkew) {
   EXPECT_THROW(telemetry::decode(skewed), util::InputError);
 }
 
-TEST(TelemetrySidecar, RoundTripsAtomically) {
-  const std::string path =
-      (fs::path(::testing::TempDir()) / "roundtrip.tele").string();
-  ASSERT_TRUE(telemetry::write_sidecar_file(path, sample_telemetry()));
-  const auto got = telemetry::read_sidecar_file(path);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->trace_id, 42u);
-  EXPECT_EQ(got->spans.pid, 777u);
-}
-
-TEST(TelemetrySidecar, DamageIsCountedNotThrown) {
-  const std::string dir = ::testing::TempDir();
-  metrics::Counter& damaged = metrics::global().counter("telemetry.damaged");
-  const std::uint64_t before = damaged.value();
-
-  // Missing file: silent nullopt (the worker died before reporting).
-  EXPECT_FALSE(
-      telemetry::read_sidecar_file(dir + "/does_not_exist.tele").has_value());
-  EXPECT_EQ(damaged.value(), before);
-
-  // Truncated payload and a flipped payload byte: counted damage.
-  const std::string good = dir + "/good.tele";
-  ASSERT_TRUE(telemetry::write_sidecar_file(good, sample_telemetry()));
-  std::ostringstream buffer;
-  {
-    std::ifstream in(good, std::ios::binary);
-    buffer << in.rdbuf();
-  }
-  const std::string bytes = buffer.str();
-  {
-    std::ofstream out(dir + "/torn.tele", std::ios::binary);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() - 7));
-  }
-  {
-    std::string flipped = bytes;
-    flipped[flipped.size() - 3] ^= char(0x40);
-    std::ofstream out(dir + "/flipped.tele", std::ios::binary);
-    out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
-  }
-  EXPECT_FALSE(telemetry::read_sidecar_file(dir + "/torn.tele").has_value());
-  EXPECT_FALSE(telemetry::read_sidecar_file(dir + "/flipped.tele").has_value());
-  EXPECT_EQ(damaged.value(), before + 2);
-}
-
 // --- merged multi-process trace -------------------------------------------
 
 TEST(MergedTrace, RemoteProcessesGetTheirOwnPidLanes) {
@@ -362,7 +325,7 @@ TEST(MergedTrace, RemoteDropAccountingSumsIntoSnapshot) {
   EXPECT_TRUE(trace::remote_processes().empty());
 }
 
-// --- end-to-end: socket workers under crashes and frame damage ------------
+// --- end-to-end: shard workers under crashes and frame damage -------------
 
 std::uint64_t double_bits(double v) {
   std::uint64_t bits;
@@ -394,8 +357,11 @@ const Scenario& scenario() {
     const diffusion::Cascade cascade =
         diffusion::simulate_mfc(g, seeds, diffusion::MfcConfig{}, rng);
     s.config.beta = 0.1;
-    s.ridg_path =
-        (fs::path(::testing::TempDir()) / "telemetry_scenario.ridg").string();
+    // Per process: the parametrized E2E tests may run concurrently.
+    s.ridg_path = (fs::path(::testing::TempDir()) /
+                   ("telemetry_scenario_" + std::to_string(::getpid()) +
+                    ".ridg"))
+                      .string();
     graph::write_columnar_file(g, cascade.state, s.ridg_path,
                                graph::kRidgFlagDiffusion);
     return s;
@@ -412,7 +378,8 @@ void expect_identical(const core::DetectionResult& got,
             double_bits(want.total_objective));
 }
 
-class TelemetryE2ETest : public ::testing::Test {
+class TelemetryE2ETest
+    : public ::testing::TestWithParam<core::ShardTransport> {
  protected:
   void SetUp() override {
     if (!util::process_isolation_supported() || !util::net::supported())
@@ -430,11 +397,14 @@ class TelemetryE2ETest : public ::testing::Test {
   core::ShardedConfig sharded(const std::string& name) {
     core::ShardedConfig config;
     config.num_shards = 2;
-    config.run_dir =
-        (fs::path(::testing::TempDir()) / ("telemetry_" + name)).string();
+    const std::string transport =
+        GetParam() == core::ShardTransport::kFork ? "_fork" : "_socket";
+    config.run_dir = (fs::path(::testing::TempDir()) /
+                      ("telemetry_" + name + transport))
+                         .string();
     fs::remove_all(config.run_dir);
     config.resume = false;
-    config.transport = core::ShardTransport::kSocket;
+    config.transport = GetParam();
     config.worker_command = RIDNET_CLI_PATH;
     config.graph_path = scenario().ridg_path;
     config.supervisor.backoff_initial_ms = 1.0;
@@ -444,7 +414,7 @@ class TelemetryE2ETest : public ::testing::Test {
   }
 };
 
-TEST_F(TelemetryE2ETest, CrashedWorkerStillYieldsMergedMultiPidTrace) {
+TEST_P(TelemetryE2ETest, CrashedWorkerStillYieldsMergedMultiPidTrace) {
   if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
   const Scenario& s = scenario();
   const auto view = graph::ColumnarGraphView::open(s.ridg_path);
@@ -452,13 +422,16 @@ TEST_F(TelemetryE2ETest, CrashedWorkerStillYieldsMergedMultiPidTrace) {
 
   // The first worker attempt dies at its 5th tree (SIGABRT — same wait
   // status shape as a SIGKILL for the supervisor); the requeued attempt
-  // finishes and its telemetry still reaches the parent.
+  // finishes and its telemetry still reaches the parent. Exec'd workers
+  // read $RID_FAILPOINTS; forked workers inherit this process's arming.
   ::setenv("RID_FAILPOINTS", "shard.worker_tree=abort@5", 1);
+  util::failpoint::arm("shard.worker_tree=abort@5");
   trace::start();
   const core::DetectionResult got =
       core::run_rid_sharded(view, view.states(), s.config, sharded("crash"));
   trace::stop();
   ::unsetenv("RID_FAILPOINTS");
+  util::failpoint::disarm_all();
 
   expect_identical(got, want);
   EXPECT_TRUE(got.diagnostics.all_ok());
@@ -486,7 +459,7 @@ TEST_F(TelemetryE2ETest, CrashedWorkerStillYieldsMergedMultiPidTrace) {
   trace::clear_remote_processes();
 }
 
-TEST_F(TelemetryE2ETest, TornTelemetryFrameIsCountedNotFatal) {
+TEST_P(TelemetryE2ETest, TornTelemetryFrameIsCountedNotFatal) {
   const Scenario& s = scenario();
   const auto view = graph::ColumnarGraphView::open(s.ridg_path);
   const core::DetectionResult want = core::run_rid(view, view.states(), s.config);
@@ -504,6 +477,10 @@ TEST_F(TelemetryE2ETest, TornTelemetryFrameIsCountedNotFatal) {
   EXPECT_TRUE(got.diagnostics.all_ok());
   EXPECT_GE(damaged.value(), before + 2) << "2 shards -> 2 damaged frames";
 }
+
+INSTANTIATE_TEST_SUITE_P(, TelemetryE2ETest,
+                         ::testing::Values(core::ShardTransport::kFork,
+                                           core::ShardTransport::kSocket));
 
 }  // namespace
 }  // namespace rid::util
