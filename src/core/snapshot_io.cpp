@@ -2,9 +2,9 @@
 
 #include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "graph/graph_io.hpp"
 #include "util/errors.hpp"
 
 namespace rid::core {
@@ -33,24 +33,27 @@ void save_snapshot_file(std::span<const graph::NodeState> states,
 }
 
 std::vector<SnapshotEntry> parse_snapshot_entries(std::istream& in) {
+  // Fields split on every C-locale space character, as `>>` splits them.
+  static constexpr graph::Separators kSeparators{" \t\r\v\f"};
   std::vector<SnapshotEntry> entries;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream row(line);
-    std::string id_token;
-    std::string state_token;
-    if (!(row >> id_token)) continue;           // blank line
+  graph::LineReader lines(in);
+  std::string_view line;
+  while (lines.next(line)) {
+    const std::size_t line_no = lines.line_no();
+    std::string_view fields[2];
+    const std::size_t got = graph::split_fields(line, fields, kSeparators);
+    if (got == 0) continue;  // blank line
+    const std::string_view id_token = fields[0];
     if (id_token[0] == '#' || id_token[0] == '%') continue;
-    if (!(row >> state_token)) fail(line_no, "missing state column");
+    if (got < 2) fail(line_no, "missing state column");
+    const std::string_view state_token = fields[1];
 
     SnapshotEntry entry;
     entry.line_no = line_no;
     const auto res = std::from_chars(
         id_token.data(), id_token.data() + id_token.size(), entry.node);
     if (res.ec != std::errc{} || res.ptr != id_token.data() + id_token.size())
-      fail(line_no, "bad node id '" + id_token + "'");
+      fail(line_no, "bad node id '" + std::string(id_token) + "'");
 
     if (state_token == "+1" || state_token == "1") {
       entry.state = graph::NodeState::kPositive;
@@ -61,7 +64,7 @@ std::vector<SnapshotEntry> parse_snapshot_entries(std::istream& in) {
     } else if (state_token == "0") {
       entry.state = graph::NodeState::kInactive;
     } else {
-      fail(line_no, "bad state '" + state_token + "'");
+      fail(line_no, "bad state '" + std::string(state_token) + "'");
     }
     entries.push_back(entry);
   }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "graph/columnar.hpp"
@@ -221,27 +220,22 @@ TextEdgeSource::TextEdgeSource(std::string path, bool weighted)
 }
 
 void TextEdgeSource::rewind() {
+  reader_.reset();
   in_.close();
   in_.clear();
   in_.open(path_);
   if (!in_) throw util::InputError("graph_io: cannot open " + path_);
-  line_no_ = 0;
+  reader_.emplace(in_, weighted_);
 }
 
-bool TextEdgeSource::next(ParsedEdge& edge) {
-  while (std::getline(in_, line_)) {
-    ++line_no_;
-    if (parse_edge_line(line_, line_no_, weighted_, edge)) return true;
-  }
-  return false;
-}
+bool TextEdgeSource::next(ParsedEdge& edge) { return reader_->next(edge); }
 
 LoadedGraph load_edge_source(EdgeSource& source) {
   source.rewind();
-  std::vector<ParsedEdge> edges;
+  EdgeAssembler assembler;
   ParsedEdge edge;
-  while (source.next(edge)) edges.push_back(edge);
-  return assemble_edges(edges);
+  while (source.next(edge)) assembler.add(edge);
+  return assembler.finish();
 }
 
 StreamConvertResult stream_convert_to_columnar(
@@ -253,24 +247,23 @@ StreamConvertResult stream_convert_to_columnar(
   static_assert(sizeof(double) == 8 && sizeof(NodeState) == 1);
 
   // --- pass 1: compact ids (appearance order) + pre-normalization degrees --
-  std::unordered_map<std::uint64_t, NodeId> compact;
+  LabelTable compact;
   std::vector<std::uint32_t> outdeg_pre;
   std::vector<std::uint32_t> indeg_pre;
   const auto id_of = [&](std::uint64_t label) {
-    const auto [it, inserted] =
-        compact.emplace(label, static_cast<NodeId>(compact.size()));
-    if (inserted) {
+    const NodeId id = compact.intern(label);
+    if (id == outdeg_pre.size()) {
       outdeg_pre.push_back(0);
       indeg_pre.push_back(0);
     }
-    return it->second;
+    return id;
   };
 
   std::uint64_t kept_pre = 0;
   ParsedEdge edge;
   source.rewind();
   while (source.next(edge)) {
-    // Source id before destination id, same as assemble_edges.
+    // Source id before destination id, same as EdgeAssembler.
     const NodeId s = id_of(edge.src);
     const NodeId d = id_of(edge.dst);
     if (s == d) continue;  // builder drops self-loops; skip them early
@@ -308,14 +301,14 @@ StreamConvertResult stream_convert_to_columnar(
   std::uint64_t seq = 0;
   source.rewind();
   while (source.next(edge)) {
-    const auto s_it = compact.find(edge.src);
-    const auto d_it = compact.find(edge.dst);
-    if (s_it == compact.end() || d_it == compact.end())
+    const NodeId s = compact.find(edge.src);
+    const NodeId d = compact.find(edge.dst);
+    if (s == kInvalidNode || d == kInvalidNode)
       fail(out_path, "input changed between conversion passes");
-    if (s_it->second == d_it->second) continue;
+    if (s == d) continue;
     EdgeRecord rec{};
-    rec.src = options.social ? s_it->second : d_it->second;
-    rec.dst = options.social ? d_it->second : s_it->second;
+    rec.src = options.social ? s : d;
+    rec.dst = options.social ? d : s;
     rec.seq = static_cast<std::uint32_t>(seq++);
     rec.sign = static_cast<std::int8_t>(edge.sign);
     rec.weight = edge.weight;

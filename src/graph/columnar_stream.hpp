@@ -7,7 +7,7 @@
 // cmp-identical file — while holding only O(nodes + chunk) in RAM:
 //
 //   pass 1  read the edge list once: assign compact node ids in appearance
-//           order (exactly graph_io's assemble_edges order) and count
+//           order (graph_io's LabelTable, as EdgeAssembler uses it) and count
 //           pre-normalization out/in degrees per node, which fixes the
 //           boundaries of node-contiguous "buckets" of ≤ chunk_edges edges.
 //   pass 2  read the edge list again: scatter each surviving edge record
@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,11 +57,14 @@ class EdgeSource {
 };
 
 /// EdgeSource over a weighted ("src dst sign weight") or SNAP ("src dst
-/// sign") text file; parsing and diagnostics are graph_io's parse_edge_line,
-/// so malformed input fails with byte-identical errors to load_weighted_file.
+/// sign") text file; parsing and diagnostics are graph_io's EdgeReader, so
+/// malformed input fails with byte-identical errors to load_weighted_file.
 class TextEdgeSource final : public EdgeSource {
  public:
   explicit TextEdgeSource(std::string path, bool weighted = true);
+  // The reader points into in_, so the source stays where it was built.
+  TextEdgeSource(const TextEdgeSource&) = delete;
+  TextEdgeSource& operator=(const TextEdgeSource&) = delete;
   void rewind() override;
   bool next(ParsedEdge& edge) override;
 
@@ -68,8 +72,7 @@ class TextEdgeSource final : public EdgeSource {
   std::string path_;
   bool weighted_;
   std::ifstream in_;
-  std::string line_;
-  std::size_t line_no_ = 0;
+  std::optional<EdgeReader> reader_;
 };
 
 struct StreamConvertOptions {
@@ -97,7 +100,7 @@ struct StreamConvertResult {
 
 /// Converts `source` to a .ridg file at `out_path`. Output bytes are
 /// identical to write_columnar_file over the in-RAM pipeline
-/// (assemble_edges → reversed() unless options.social → embedded states).
+/// (EdgeAssembler → reversed() unless options.social → embedded states).
 /// Throws util::InputError on malformed input or I/O failure.
 StreamConvertResult stream_convert_to_columnar(
     EdgeSource& source, const std::string& out_path,

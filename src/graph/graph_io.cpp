@@ -1,12 +1,14 @@
 #include "graph/graph_io.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <istream>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
-#include <unordered_map>
 
 #include "util/errors.hpp"
 
@@ -19,106 +21,205 @@ namespace {
                          what);
 }
 
-/// Splits on whitespace; returns false for blank/comment lines.
-bool tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
-  tokens.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' ||
-                               line[i] == '\r'))
-      ++i;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '\r')
-      ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
-  }
-  if (tokens.empty()) return false;
-  if (tokens.front().front() == '#' || tokens.front().front() == '%')
-    return false;
-  return true;
-}
-
 template <typename T>
-T parse_number(std::string_view token, std::size_t line_no) {
+T parse_integer(std::string_view token, std::size_t line_no) {
   T value{};
-  if constexpr (std::is_floating_point_v<T>) {
-    try {
-      std::size_t pos = 0;
-      value = static_cast<T>(std::stod(std::string(token), &pos));
-      if (pos != token.size()) fail(line_no, "trailing characters in number");
-    } catch (const std::exception&) {
-      fail(line_no, "expected a number, got '" + std::string(token) + "'");
-    }
-  } else {
-    const auto res =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
-      fail(line_no, "expected an integer, got '" + std::string(token) + "'");
-  }
+  const auto res =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
+    fail(line_no, "expected an integer, got '" + std::string(token) + "'");
   return value;
 }
 
-LoadedGraph load_impl(std::istream& in, bool weighted) {
-  std::vector<ParsedEdge> raw;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    ParsedEdge e;
-    if (parse_edge_line(line, line_no, weighted, e)) raw.push_back(e);
+/// True when the mantissa of a decimal token has no nonzero digit, i.e. the
+/// token spells an exact zero.
+bool spells_zero(std::string_view token) {
+  for (const char c : token) {
+    if (c == 'e' || c == 'E') break;
+    if (c >= '1' && c <= '9') return false;
   }
-  return assemble_edges(raw);
+  return true;
 }
 
-}  // namespace
+/// Parses a weight with std::stod's semantics: a leading '+', hex floats and
+/// leading whitespace other than the separators are accepted, and results
+/// that over- or underflow (ERANGE) are rejected. std::from_chars handles
+/// the common case; anything it does not accept in full, and any result
+/// near the underflow range, is re-parsed by std::stod itself.
+double parse_weight(std::string_view token, std::size_t line_no) {
+  double value = 0.0;
+  const auto res =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (res.ec == std::errc{} && res.ptr == token.data() + token.size() &&
+      ((std::isfinite(value) && std::fabs(value) >= 1e-300) ||
+       (value == 0.0 && spells_zero(token))))
+    return value;
+  try {
+    std::size_t pos = 0;
+    value = std::stod(std::string(token), &pos);
+    if (pos == token.size()) return value;
+  } catch (const std::exception&) {
+  }
+  fail(line_no, "expected a number, got '" + std::string(token) + "'");
+}
 
+/// Parses one edge-list line. Returns false for blank/comment lines, true
+/// with `out` filled for edge rows; throws util::InputError carrying
+/// `line_no` on malformed rows.
 bool parse_edge_line(std::string_view line, std::size_t line_no, bool weighted,
                      ParsedEdge& out) {
-  thread_local std::vector<std::string_view> tokens;
-  if (!tokenize(line, tokens)) return false;
+  std::string_view fields[4];
   const std::size_t expected = weighted ? 4 : 3;
-  if (tokens.size() < expected)
+  const std::size_t got =
+      split_fields(line, std::span<std::string_view>(fields, expected));
+  if (got == 0 || fields[0].front() == '#' || fields[0].front() == '%')
+    return false;
+  if (got < expected)
     fail(line_no, "expected " + std::to_string(expected) + " columns, got " +
-                      std::to_string(tokens.size()));
-  out.src = parse_number<std::uint64_t>(tokens[0], line_no);
-  out.dst = parse_number<std::uint64_t>(tokens[1], line_no);
-  out.sign = parse_number<int>(tokens[2], line_no);
+                      std::to_string(got));
+  out.src = parse_integer<std::uint64_t>(fields[0], line_no);
+  out.dst = parse_integer<std::uint64_t>(fields[1], line_no);
+  out.sign = parse_integer<int>(fields[2], line_no);
   if (out.sign != 1 && out.sign != -1)
     fail(line_no, "sign must be +1 or -1, got " + std::to_string(out.sign));
-  out.weight = weighted ? parse_number<double>(tokens[3], line_no) : 1.0;
+  out.weight = weighted ? parse_weight(fields[3], line_no) : 1.0;
   if (!(out.weight >= 0.0 && out.weight <= 1.0))
     fail(line_no, "weight outside [0, 1]");
   return true;
 }
 
-LoadedGraph assemble_edges(std::span<const ParsedEdge> edges) {
-  LoadedGraph out;
-  std::unordered_map<std::uint64_t, NodeId> compact;
-  compact.reserve(edges.size());
-  const auto id_of = [&](std::uint64_t label) {
-    const auto [it, inserted] =
-        compact.emplace(label, static_cast<NodeId>(out.original_label.size()));
-    if (inserted) out.original_label.push_back(label);
-    return it->second;
-  };
-  // First pass assigns compact ids in order of appearance (sources before
-  // destinations within each line; explicit sequencing because function
-  // argument evaluation order is unspecified).
-  std::vector<std::pair<NodeId, NodeId>> endpoints;
-  endpoints.reserve(edges.size());
-  for (const ParsedEdge& e : edges) {
-    const NodeId src = id_of(e.src);
-    const NodeId dst = id_of(e.dst);
-    endpoints.emplace_back(src, dst);
-  }
+LoadedGraph load_impl(std::istream& in, bool weighted) {
+  EdgeReader reader(in, weighted);
+  EdgeAssembler assembler;
+  ParsedEdge edge;
+  while (reader.next(edge)) assembler.add(edge);
+  return assembler.finish();
+}
 
-  SignedGraphBuilder builder(static_cast<NodeId>(out.original_label.size()));
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    builder.add_edge(endpoints[i].first, endpoints[i].second,
-                     sign_from_value(edges[i].sign), edges[i].weight);
+}  // namespace
+
+LineReader::LineReader(std::istream& in) : in_(&in) {}
+
+void LineReader::refill() {
+  // Keep the unconsumed tail (a partial line) and append one block after it.
+  const std::size_t carried = end_ - pos_;
+  if (carried > 0 && pos_ > 0)
+    std::memmove(buf_.data(), buf_.data() + pos_, carried);
+  pos_ = 0;
+  end_ = carried;
+  if (buf_.size() < carried + kBlockBytes) buf_.resize(carried + kBlockBytes);
+  in_->read(buf_.data() + end_, static_cast<std::streamsize>(kBlockBytes));
+  const auto got = static_cast<std::size_t>(in_->gcount());
+  end_ += got;
+  if (got < kBlockBytes) eof_ = true;
+}
+
+bool LineReader::next(std::string_view& line) {
+  for (;;) {
+    const char* begin = buf_.data() + pos_;
+    const auto* newline =
+        pos_ < end_
+            ? static_cast<const char*>(std::memchr(begin, '\n', end_ - pos_))
+            : nullptr;
+    if (newline != nullptr) {
+      line = std::string_view(begin, static_cast<std::size_t>(newline - begin));
+      pos_ += line.size() + 1;
+      ++line_no_;
+      return true;
+    }
+    if (eof_) {
+      if (pos_ == end_) return false;
+      line = std::string_view(begin, end_ - pos_);
+      pos_ = end_;
+      ++line_no_;
+      return true;
+    }
+    refill();
   }
-  out.graph = builder.build();
+}
+
+std::size_t split_fields(std::string_view line,
+                         std::span<std::string_view> fields,
+                         const Separators& seps) {
+  const auto is_sep = [&](char c) {
+    return seps.is[static_cast<unsigned char>(c)];
+  };
+  std::size_t count = 0;
+  std::size_t i = 0;
+  while (count < fields.size()) {
+    while (i < line.size() && is_sep(line[i])) ++i;
+    if (i == line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() && !is_sep(line[i])) ++i;
+    fields[count++] = line.substr(start, i - start);
+  }
+  return count;
+}
+
+EdgeReader::EdgeReader(std::istream& in, bool weighted)
+    : lines_(in), weighted_(weighted) {}
+
+bool EdgeReader::next(ParsedEdge& edge) {
+  std::string_view line;
+  while (lines_.next(line)) {
+    if (parse_edge_line(line, lines_.line_no(), weighted_, edge)) return true;
+  }
+  return false;
+}
+
+LabelTable::LabelTable() : slots_(1024), shift_(64 - 10) {}
+
+std::size_t LabelTable::home(std::uint64_t label) const noexcept {
+  // Fibonacci hashing: the multiply spreads sequential and strided labels
+  // alike, and the high bits index the table.
+  return static_cast<std::size_t>((label * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+NodeId LabelTable::find(std::uint64_t label) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(label);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kInvalidNode || slot.label == label) return slot.id;
+  }
+}
+
+NodeId LabelTable::intern(std::uint64_t label) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(label);
+  for (; slots_[i].id != kInvalidNode; i = (i + 1) & mask)
+    if (slots_[i].label == label) return slots_[i].id;
+  if (labels_.size() >= kInvalidNode)
+    throw std::length_error("graph_io: node count exceeds 32-bit id space");
+  const auto id = static_cast<NodeId>(labels_.size());
+  labels_.push_back(label);
+  slots_[i] = {label, id};
+  if (2 * labels_.size() > slots_.size()) grow();
+  return id;
+}
+
+void LabelTable::grow() {
+  slots_.assign(2 * slots_.size(), Slot{});
+  --shift_;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t id = 0; id < labels_.size(); ++id) {
+    std::size_t i = home(labels_[id]);
+    while (slots_[i].id != kInvalidNode) i = (i + 1) & mask;
+    slots_[i] = {labels_[id], static_cast<NodeId>(id)};
+  }
+}
+
+void EdgeAssembler::add(const ParsedEdge& edge) {
+  // Explicit sequencing: the source is numbered before the destination.
+  const NodeId src = ids_.intern(edge.src);
+  const NodeId dst = ids_.intern(edge.dst);
+  builder_.ensure_node(std::max(src, dst));
+  builder_.add_edge(src, dst, sign_from_value(edge.sign), edge.weight);
+}
+
+LoadedGraph EdgeAssembler::finish() {
+  LoadedGraph out;
+  out.graph = builder_.build();
+  out.original_label = ids_.take_labels();
   return out;
 }
 

@@ -51,15 +51,25 @@ SignedGraph SignedGraphBuilder::build() { return build(BuildOptions{}); }
 
 SignedGraph SignedGraphBuilder::build(const BuildOptions& options) {
   const std::size_t raw_m = srcs_.size();
-  // Sort edge indices by (src, dst, insertion order) to obtain CSR order and
-  // enable first-occurrence dedup.
-  std::vector<std::size_t> order(raw_m);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (srcs_[a] != srcs_[b]) return srcs_[a] < srcs_[b];
-    if (dsts_[a] != dsts_[b]) return dsts_[a] < dsts_[b];
-    return a < b;
-  });
+  if (raw_m >= kInvalidEdge)
+    throw std::length_error("SignedGraphBuilder::build: too many edges");
+  // CSR order is (src, dst, insertion order), which also makes dedup keep
+  // each pair's first occurrence. Two stable counting passes produce it in
+  // O(n + m): bucket by dst in insertion order, then stably by src.
+  std::vector<EdgeId> cursor(std::size_t{num_nodes_} + 1);
+  const auto bucket_starts = [&](const std::vector<NodeId>& key) {
+    std::fill(cursor.begin(), cursor.end(), EdgeId{0});
+    for (const NodeId k : key) ++cursor[std::size_t{k} + 1];
+    for (NodeId u = 0; u < num_nodes_; ++u) cursor[u + 1] += cursor[u];
+  };
+  std::vector<EdgeId> by_dst(raw_m);
+  bucket_starts(dsts_);
+  for (std::size_t i = 0; i < raw_m; ++i)
+    by_dst[cursor[dsts_[i]]++] = static_cast<EdgeId>(i);
+  std::vector<EdgeId> order(raw_m);
+  bucket_starts(srcs_);
+  for (const EdgeId i : by_dst) order[cursor[srcs_[i]]++] = i;
+  by_dst = {};
 
   SignedGraph g;
   g.out_offsets_.assign(num_nodes_ + 1, 0);
@@ -70,7 +80,7 @@ SignedGraph SignedGraphBuilder::build(const BuildOptions& options) {
 
   NodeId prev_src = kInvalidNode;
   NodeId prev_dst = kInvalidNode;
-  for (const std::size_t i : order) {
+  for (const EdgeId i : order) {
     const NodeId s = srcs_[i];
     const NodeId d = dsts_[i];
     if (options.drop_self_loops && s == d) continue;
@@ -97,7 +107,7 @@ SignedGraph SignedGraphBuilder::build(const BuildOptions& options) {
   for (NodeId v = 0; v < num_nodes_; ++v)
     g.in_offsets_[v + 1] += g.in_offsets_[v];
   g.in_edge_.resize(m);
-  std::vector<EdgeId> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+  cursor.assign(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
   for (EdgeId e = 0; e < m; ++e) g.in_edge_[cursor[g.dst_[e]]++] = e;
 
   // Release builder storage.
@@ -125,11 +135,33 @@ EdgeId SignedGraph::find_edge(NodeId src, NodeId dst) const noexcept {
 }
 
 SignedGraph SignedGraph::reversed() const {
-  SignedGraphBuilder builder(num_nodes());
-  for (EdgeId e = 0; e < num_edges(); ++e)
-    builder.add_edge(dst_[e], src_[e], sign_[e], weight_[e]);
-  // Topology was already normalized; keep every edge as-is.
-  return builder.build({.drop_self_loops = false, .dedup_parallel_edges = false});
+  if (out_offsets_.empty()) return SignedGraphBuilder(0).build();
+  // The reversed edges in builder order, (dst, src, edge id), are exactly
+  // in_edge_'s order, so reversed edge k is in_edge_[k]. The out-CSR of the
+  // result is this graph's in-CSR and vice versa; reversed edge k enters
+  // edge_src(in_edge_[k]), and an out-range of this graph lists its edges
+  // in ascending k, so the result's in_edge is the inverse of in_edge_.
+  const std::size_t m = num_edges();
+  SignedGraph r;
+  r.out_offsets_ = in_offsets_;
+  r.in_offsets_ = out_offsets_;
+  r.src_.resize(m);
+  r.dst_.resize(m);
+  r.sign_.resize(m);
+  r.weight_.resize(m);
+  r.in_edge_.resize(m);
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    for (EdgeId k = in_offsets_[v]; k < in_offsets_[v + 1]; ++k) {
+      const EdgeId e = in_edge_[k];
+      r.src_[k] = v;
+      r.dst_[k] = src_[e];
+      r.sign_[k] = sign_[e];
+      r.weight_[k] = weight_[e];
+      r.in_edge_[e] = k;
+    }
+  }
+  r.edge_id_identity_ = edge_id_identity_;
+  return r;
 }
 
 std::size_t SignedGraph::memory_bytes() const noexcept {

@@ -8,6 +8,10 @@
 #include <mutex>
 #include <sstream>
 
+#if !defined(_WIN32)
+#include <pthread.h>
+#endif
+
 namespace rid::util::metrics {
 
 std::size_t Histogram::bucket_index(std::uint64_t value) noexcept {
@@ -262,6 +266,15 @@ std::string MetricsSnapshot::to_prometheus() const {
 
 Registry& global() {
   static Registry registry;
+#if !defined(_WIN32)
+  // Forked shard workers reset this registry while parent threads keep
+  // snapshotting it: holding the lock across fork() keeps a child from
+  // inheriting it taken.
+  [[maybe_unused]] static const int fork_guard =
+      ::pthread_atfork([] { registry.impl_->mutex.lock(); },
+                       [] { registry.impl_->mutex.unlock(); },
+                       [] { registry.impl_->mutex.unlock(); });
+#endif
   return registry;
 }
 

@@ -172,6 +172,7 @@ class Registry {
   void reset();
 
  private:
+  friend Registry& global();
   struct Impl;
   Impl* impl_;
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -523,12 +524,25 @@ TEST_F(ShardedRidTest, WorkerRlimitsAreAppliedInTheChild) {
   EXPECT_EQ(WEXITSTATUS(status), 0) << "rlimit mismatch in worker child";
 }
 
+/// This process's mapped address space (VmSize), 0 where /proc is absent.
+std::uint64_t current_vm_bytes() {
+  std::uint64_t pages = 0;
+  if (std::FILE* statm = std::fopen("/proc/self/statm", "r")) {
+    unsigned long long v = 0;
+    if (std::fscanf(statm, "%llu", &v) == 1) pages = v;
+    std::fclose(statm);
+  }
+  return pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
 TEST_F(ShardedRidTest, GenerousLimitsLeaveHealthyRunsBitIdentical) {
   // Caps far above real usage must be invisible: same answer, no crashes.
   const Scenario& s = scenario();
   const DetectionResult want = run_rid(s.graph, s.states, s.config);
   ShardedConfig config = sharded(2, run_dir("limits_healthy"));
-  config.supervisor.mem_limit_bytes = 4ull << 30;
+  // Relative to the address space already mapped, so the cap stays generous
+  // in builds (ASan) that reserve terabytes of shadow memory up front.
+  config.supervisor.mem_limit_bytes = current_vm_bytes() + (4ull << 30);
   config.supervisor.cpu_limit_seconds = 60.0;
   const DetectionResult got =
       run_rid_sharded(s.graph, s.states, s.config, config);

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "graph/diffusion_network.hpp"
 #include "graph/types.hpp"
 
@@ -204,6 +211,142 @@ TEST(SignedGraph, ParallelEdgeHeavyBuild) {
   builder.add_edge(1, 2, Sign::kNegative, 0.5);
   const SignedGraph g = builder.build();
   EXPECT_EQ(g.num_edges(), 2u);
+}
+
+// --- counting-sort build and O(m) reversal against reference versions -----
+
+struct RawEdge {
+  NodeId src;
+  NodeId dst;
+  Sign sign;
+  double weight;
+};
+
+/// Random insertion order over `n` nodes: duplicate pairs, self-loops, and
+/// (with the ids above n/2 unused) isolated nodes.
+std::vector<RawEdge> random_edges(std::mt19937_64& rng, NodeId n,
+                                  std::size_t m) {
+  std::vector<RawEdge> edges;
+  const NodeId used = std::max<NodeId>(1, n / 2);
+  std::uniform_int_distribution<NodeId> node(0, used - 1);
+  std::uniform_real_distribution<double> weight(0.0, 1.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    RawEdge e{node(rng), node(rng), rng() % 3 == 0 ? Sign::kNegative
+                                                   : Sign::kPositive,
+              weight(rng)};
+    if (rng() % 8 == 0) e.dst = e.src;                           // self-loop
+    if (rng() % 4 == 0 && !edges.empty()) {                      // duplicate
+      const RawEdge& prev = edges[rng() % edges.size()];
+      e.src = prev.src;
+      e.dst = prev.dst;
+    }
+    edges.push_back(e);
+  }
+  return edges;
+}
+
+/// The builder's contract, computed with a comparison sort: edges in
+/// (src, dst, insertion) order, then self-loops and repeated pairs dropped.
+std::vector<RawEdge> reference_csr_order(
+    const std::vector<RawEdge>& edges,
+    const SignedGraphBuilder::BuildOptions& options) {
+  std::vector<std::size_t> order(edges.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (edges[a].src != edges[b].src) return edges[a].src < edges[b].src;
+    if (edges[a].dst != edges[b].dst) return edges[a].dst < edges[b].dst;
+    return a < b;
+  });
+  std::vector<RawEdge> kept;
+  for (const std::size_t i : order) {
+    const RawEdge& e = edges[i];
+    if (options.drop_self_loops && e.src == e.dst) continue;
+    if (options.dedup_parallel_edges && !kept.empty() &&
+        kept.back().src == e.src && kept.back().dst == e.dst)
+      continue;
+    kept.push_back(e);
+  }
+  return kept;
+}
+
+void expect_csr_matches(const SignedGraph& g, NodeId n,
+                        const std::vector<RawEdge>& want) {
+  ASSERT_EQ(g.num_nodes(), n);
+  ASSERT_EQ(g.num_edges(), want.size());
+  for (EdgeId e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(g.edge_src(e), want[e].src) << "edge " << e;
+    EXPECT_EQ(g.edge_dst(e), want[e].dst) << "edge " << e;
+    EXPECT_EQ(g.edge_sign(e), want[e].sign) << "edge " << e;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.edge_weight(e)),
+              std::bit_cast<std::uint64_t>(want[e].weight))
+        << "edge " << e;
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<EdgeId> out, in;
+    for (EdgeId e = 0; e < want.size(); ++e) {
+      if (want[e].src == u) out.push_back(e);
+      if (want[e].dst == u) in.push_back(e);
+    }
+    const auto got_out = g.out_edge_ids(u);
+    const auto got_in = g.in_edge_ids(u);
+    EXPECT_EQ(std::vector<EdgeId>(got_out.begin(), got_out.end()), out)
+        << "node " << u;
+    EXPECT_EQ(std::vector<EdgeId>(got_in.begin(), got_in.end()), in)
+        << "node " << u;
+  }
+}
+
+/// The builder-based reversal: every edge re-added swapped, nothing dropped.
+SignedGraph reference_reversal(const SignedGraph& g) {
+  SignedGraphBuilder builder(g.num_nodes());
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    builder.add_edge(g.edge_dst(e), g.edge_src(e), g.edge_sign(e),
+                     g.edge_weight(e));
+  return builder.build(
+      {.drop_self_loops = false, .dedup_parallel_edges = false});
+}
+
+TEST(SignedGraphBuilder, CountingSortBuildMatchesComparisonSort) {
+  std::mt19937_64 rng(20170605);
+  for (int trial = 0; trial < 40; ++trial) {
+    const NodeId n = static_cast<NodeId>(1 + rng() % 60);
+    const std::size_t m = rng() % 400;
+    const std::vector<RawEdge> edges = random_edges(rng, n, m);
+    for (const bool drop : {false, true}) {
+      for (const bool dedup : {false, true}) {
+        const SignedGraphBuilder::BuildOptions options{
+            .drop_self_loops = drop, .dedup_parallel_edges = dedup};
+        SignedGraphBuilder builder(n);
+        for (const RawEdge& e : edges)
+          builder.add_edge(e.src, e.dst, e.sign, e.weight);
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " drop "
+                                          << drop << " dedup " << dedup);
+        expect_csr_matches(builder.build(options), n,
+                           reference_csr_order(edges, options));
+      }
+    }
+  }
+}
+
+TEST(SignedGraph, ReversalMatchesBuilderReversal) {
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const NodeId n = static_cast<NodeId>(1 + rng() % 60);
+    const std::vector<RawEdge> edges = random_edges(rng, n, rng() % 400);
+    for (const bool drop : {false, true}) {
+      for (const bool dedup : {false, true}) {
+        SignedGraphBuilder builder(n);
+        for (const RawEdge& e : edges)
+          builder.add_edge(e.src, e.dst, e.sign, e.weight);
+        const SignedGraph g = builder.build(
+            {.drop_self_loops = drop, .dedup_parallel_edges = dedup});
+        const SignedGraph r = g.reversed();
+        EXPECT_EQ(r, reference_reversal(g)) << "trial " << trial;
+        EXPECT_EQ(r.reversed(), g) << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_EQ(SignedGraph{}.reversed(), reference_reversal(SignedGraph{}));
 }
 
 }  // namespace
