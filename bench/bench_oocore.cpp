@@ -2,7 +2,8 @@
 // detection over graphs that never fit in the converter's RAM budget
 // (DESIGN.md §15).
 //
-// Three claims are measured on deterministic synthetic edge streams:
+// Three claims are measured on deterministic synthetic edge streams, plus
+// one text-ingest row:
 //
 //   1. Conversion is bounded-memory: stream_convert_to_columnar writes a
 //      multi-GB .ridg while its peak RSS stays flat (O(nodes + chunk)) as
@@ -16,6 +17,11 @@
 //      candidate-arc sweeps drop pages behind their cursors) keeps peak RSS
 //      under the same ceiling, and the ArcGather::kStreamed result is
 //      bit-identical to the ArcGather::kCopy oracle.
+//   4. Text convert: the smoke-size stream is written (untimed) to a
+//      "src dst sign weight" text file and converted through
+//      TextEdgeSource, so the row's edges/s includes the text tokenizer
+//      the synthetic rows never touch. Its .ridg must carry the same
+//      fingerprint as the synthetic conversion of the same stream.
 //
 // Every heavy stage runs in a forked child; the parent reads a POD result
 // through a pipe and the child's peak RSS from wait4's rusage, so each
@@ -220,6 +226,60 @@ ConvertProbe run_convert(NodeId nodes, std::uint64_t edges,
   return probe;
 }
 
+/// The smoke-size stream, shared by the smoke row and the text row.
+constexpr NodeId kSmokeNodes = 20000;
+constexpr std::uint64_t kSmokeEdges = 120000;
+
+struct TextConvertProbe {
+  bool ok = false;
+  bool fingerprint_match = false;
+  std::uint64_t edges = 0;
+  std::uintmax_t text_bytes = 0;
+  double seconds = 0.0;
+};
+
+/// Writes the synthetic stream as weighted text (weights at round-trip
+/// precision), untimed, then times stream_convert_to_columnar over it and
+/// compares the fingerprint with the synthetic source's conversion.
+TextConvertProbe run_text_convert(const fs::path& dir) {
+  TextConvertProbe probe;
+  try {
+    const fs::path text_path = dir / "edges.txt";
+    {
+      SyntheticEdgeSource source(kSmokeNodes, kSmokeEdges, 2026);
+      std::ofstream out(text_path);
+      graph::ParsedEdge edge;
+      char line[96];
+      while (source.next(edge)) {
+        const int len = std::snprintf(
+            line, sizeof(line), "%llu %llu %d %.17g\n",
+            static_cast<unsigned long long>(edge.src),
+            static_cast<unsigned long long>(edge.dst), edge.sign,
+            edge.weight);
+        out.write(line, len);
+      }
+    }
+    probe.text_bytes = fs::file_size(text_path);
+
+    graph::TextEdgeSource source(text_path.string());
+    util::Timer timer;
+    const graph::StreamConvertResult result =
+        graph::stream_convert_to_columnar(
+            source, (dir / "text.ridg").string(), convert_options());
+    probe.seconds = timer.seconds();
+    probe.edges = result.num_edges;
+
+    const ConvertProbe synthetic = run_convert(
+        kSmokeNodes, kSmokeEdges, (dir / "synthetic.ridg").string());
+    probe.fingerprint_match =
+        synthetic.ok && synthetic.fingerprint == result.fingerprint;
+    probe.ok = true;
+  } catch (...) {
+    probe.ok = false;
+  }
+  return probe;
+}
+
 struct DetectProbe {
   bool ok = false;
   std::uint64_t digest = 0;
@@ -322,7 +382,7 @@ int main(int argc, char** argv) {
     std::uint64_t edges;
   };
   const std::vector<Size> sizes =
-      smoke ? std::vector<Size>{{20000, 120000}}
+      smoke ? std::vector<Size>{{kSmokeNodes, kSmokeEdges}}
             : std::vector<Size>{{400000, 10000000},
                                 {400000, 40000000},
                                 {400000, 120000000}};
@@ -407,6 +467,22 @@ int main(int argc, char** argv) {
               row.detect_rss_kb / 1024.0);
   }
   table.render(std::cout);
+
+  double ignored = 0.0;
+  const TextConvertProbe text = run_probe<TextConvertProbe>(
+      [&] { return run_text_convert(dir); }, ignored);
+  if (!text.ok || !text.fingerprint_match) {
+    std::cerr << "FATAL: text conversion failed or its .ridg differs from "
+              << "the synthetic stream's\n";
+    return 1;
+  }
+  const double text_edges_per_s =
+      static_cast<double>(kSmokeEdges) / text.seconds;
+  std::printf("text convert: %llu rows (%.1f MiB of text) in %.3f s = %.2f "
+              "Medges/s\n",
+              static_cast<unsigned long long>(kSmokeEdges),
+              static_cast<double>(text.text_bytes) / (1024.0 * 1024.0),
+              text.seconds, text_edges_per_s / 1e6);
   fs::remove_all(dir);
 
   const std::string json_path = flags.get_string("json", "BENCH_oocore.json");
@@ -432,7 +508,17 @@ int main(int argc, char** argv) {
         r.gather_match ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
   }
-  out << "  ]\n}\n";
+  char text_row[256];
+  std::snprintf(text_row, sizeof(text_row),
+                "  ],\n  \"text_convert\": {\"edges_in\": %llu, \"edges\": "
+                "%llu, \"text_bytes\": %llu, \"convert_s\": %.6f, "
+                "\"edges_per_s\": %.0f, \"fingerprint_match\": %s}\n}\n",
+                static_cast<unsigned long long>(kSmokeEdges),
+                static_cast<unsigned long long>(text.edges),
+                static_cast<unsigned long long>(text.text_bytes),
+                text.seconds, text_edges_per_s,
+                text.fingerprint_match ? "true" : "false");
+  out << text_row;
   std::cout << "wrote " << json_path << "\n";
   return 0;
 }

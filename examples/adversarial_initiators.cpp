@@ -29,7 +29,7 @@ Outcome run_case(const diffusion::MfcEngine& engine,
                  diffusion::MfcWorkspace& workspace,
                  const diffusion::SeedSet& seeds, double beta,
                  util::Rng& rng) {
-  const graph::SignedGraph& diffusion = engine.graph();
+  const graph::ColumnarGraphView& diffusion = engine.graph();
   const diffusion::Cascade cascade =
       engine.run_cascade(seeds, workspace, rng);
   core::RidConfig config;

@@ -44,8 +44,10 @@
 // by magic and mmaps them zero-copy (method=rid only; baselines and --early
 // need the in-RAM graph); `--snapshot` then overrides any embedded state
 // column. `--arc-gather=auto|copy|streamed` (detect/pipeline, method=rid)
-// picks how per-component candidate arcs are materialized — `auto` streams
-// edge windows on .ridg inputs; results are bit-identical either way.
+// picks how per-component candidate arcs are materialized — `streamed`
+// sweeps edge windows on any input, `copy` walks each component's
+// adjacency, and `auto` streams exactly when the graph is a mapped .ridg;
+// results are bit-identical either way.
 //
 // `checkpoints` inspects a --run-dir of sharded-run checkpoint files (path,
 // version, forest fingerprint, valid record prefix, damage); `--verify`
@@ -436,8 +438,8 @@ core::DetectionResult detect_on(const graph::SignedGraph& diffusion,
       " (rid|rid-tree|rid-positive|rumor-centrality|jordan)");
 }
 
-/// Zero-copy detection over a mmap-ed .ridg file. Only method=rid is
-/// templated over the columnar backend; baselines and the temporal
+/// Zero-copy detection over a mmap-ed .ridg file. Only method=rid reads
+/// its graph through a ColumnarGraphView; baselines and the temporal
 /// (--early) path need the in-RAM SignedGraph, so they ask for the text
 /// input instead of silently materializing one.
 core::DetectionResult detect_on(const graph::ColumnarGraphView& diffusion,

@@ -20,7 +20,11 @@ Dispatches on the report's "benchmark" tag:
                    the in-RAM writer and ArcGather bit-identity; full
                    reports must additionally grow the .ridg >= 10x across
                    rows with a flat (<= 1.5x spread) converter RSS, and the
-                   largest file must be >= 4x the RSS ceiling.
+                   largest file must be >= 4x the RSS ceiling. The
+                   text_convert row (the smoke-size stream converted from a
+                   text file through TextEdgeSource) must be present, with
+                   a consistent edges_per_s and the synthetic conversion's
+                   fingerprint.
 
 Exits non-zero with a message on the first failure. Stdlib only — no
 third-party imports.
@@ -139,6 +143,11 @@ OOCORE_KEYS = (
     "gather_match",
 )
 
+OOCORE_TEXT_KEYS = (
+    "edges_in", "edges", "text_bytes", "convert_s", "edges_per_s",
+    "fingerprint_match",
+)
+
 OOCORE_MIN_GROWTH = 10.0       # largest/smallest ridg_bytes, full mode
 OOCORE_MIN_CAP_RATIO = 4.0     # largest ridg_bytes vs the RSS ceiling
 OOCORE_MAX_RSS_SPREAD = 1.5    # converter RSS flatness across rows
@@ -184,6 +193,26 @@ def check_oocore(path: str, doc: dict) -> None:
         fail(f"{path}: no row checked ArcGather streamed-vs-copy "
              f"bit-identity")
 
+    text = doc.get("text_convert")
+    if not isinstance(text, dict):
+        fail(f"{path}: text_convert row missing — no row times the text "
+             f"tokenizer")
+    for key in OOCORE_TEXT_KEYS:
+        if key not in text:
+            fail(f"{path}: text_convert missing '{key}': {text}")
+    if text["convert_s"] <= 0 or text["text_bytes"] <= 0:
+        fail(f"{path}: text_convert: non-positive timing or size: {text}")
+    ratio = text["edges_in"] / text["convert_s"]
+    if abs(ratio - text["edges_per_s"]) > 0.05 * ratio + 1.0:
+        fail(f"{path}: text_convert: edges_per_s {text['edges_per_s']} "
+             f"inconsistent with edges_in/convert_s {ratio:.0f}")
+    if text["edges"] <= 0 or text["edges"] > text["edges_in"]:
+        fail(f"{path}: text_convert: kept edges {text['edges']} outside "
+             f"(0, edges_in={text['edges_in']}]")
+    if text["fingerprint_match"] is not True:
+        fail(f"{path}: text_convert: .ridg fingerprint differs from the "
+             f"synthetic stream's conversion")
+
     if full:
         smallest = min(r["ridg_bytes"] for r in rows)
         largest = max(r["ridg_bytes"] for r in rows)
@@ -203,7 +232,8 @@ def check_oocore(path: str, doc: dict) -> None:
     sizes = sorted({row["edges_in"] for row in rows})
     kind = "smoke" if doc["smoke"] else "full"
     print(f"check_bench: {path}: OK — {len(rows)} rows ({kind}), "
-          f"edge streams {sizes}, RSS under {cap_kb} KiB, identities hold")
+          f"edge streams {sizes}, RSS under {cap_kb} KiB, identities hold, "
+          f"text convert {text['edges_per_s'] / 1e6:.2f} Medges/s")
 
 
 CHECKERS = {

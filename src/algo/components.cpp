@@ -19,8 +19,8 @@ constexpr graph::EdgeId kEdgeBlock = 1u << 16;
 /// cheap if a later phase re-reads the range.
 constexpr graph::EdgeId kDropStride = 1u << 22;
 
-/// Assigns component labels by ascending node scan (the label order both
-/// backends must share for bit-identity).
+/// Assigns component labels by ascending node scan, so labels depend only
+/// on the partition, not on the order edges were united in.
 Components label_components(UnionFind& uf, graph::NodeId num_nodes,
                             const std::vector<bool>* selected) {
   Components out;
@@ -35,6 +35,27 @@ Components label_components(UnionFind& uf, graph::NodeId num_nodes,
   return out;
 }
 
+/// Calls `visit(src, dst)` for every edge in ascending EdgeId order, one
+/// edge_range window at a time, polling `budget` between windows and
+/// dropping the mapped pages behind the cursor every kDropStride edges.
+template <typename Visit>
+void sweep_edges(const graph::ColumnarGraphView& graph,
+                 const util::BudgetScope* budget, const Visit& visit) {
+  const auto num_edges = static_cast<graph::EdgeId>(graph.num_edges());
+  graph::EdgeId drop_from = 0;
+  for (graph::EdgeId lo = 0; lo < num_edges; lo += kEdgeBlock) {
+    const graph::EdgeId hi =
+        std::min<graph::EdgeId>(num_edges, lo + kEdgeBlock);
+    const graph::EdgeWindow w = graph.edge_range(lo, hi);
+    for (std::size_t i = 0; i < w.size(); ++i) visit(w.srcs[i], w.dsts[i]);
+    if (budget != nullptr) budget->check();
+    if (hi - drop_from >= kDropStride) {
+      graph.drop_edge_pages(drop_from, hi);
+      drop_from = hi;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::vector<graph::NodeId>> Components::groups() const {
@@ -45,44 +66,12 @@ std::vector<std::vector<graph::NodeId>> Components::groups() const {
   return out;
 }
 
-Components weakly_connected_components(const graph::SignedGraph& graph) {
-  UnionFind uf(graph.num_nodes());
-  for (graph::EdgeId e = 0; e < graph.num_edges(); ++e)
-    uf.unite(graph.edge_src(e), graph.edge_dst(e));
-  return label_components(uf, graph.num_nodes(), nullptr);
-}
-
-Components weakly_connected_components(
-    const graph::SignedGraph& graph,
-    std::span<const graph::NodeId> restrict_to) {
-  std::vector<bool> selected(graph.num_nodes(), false);
-  for (const graph::NodeId v : restrict_to) selected[v] = true;
-
-  UnionFind uf(graph.num_nodes());
-  for (const graph::NodeId u : restrict_to) {
-    for (const graph::EdgeId e : graph.out_edge_ids(u)) {
-      const graph::NodeId v = graph.edge_dst(e);
-      if (selected[v]) uf.unite(u, v);
-    }
-  }
-  return label_components(uf, graph.num_nodes(), &selected);
-}
-
 Components weakly_connected_components(const graph::ColumnarGraphView& graph,
                                        const util::BudgetScope* budget) {
   UnionFind uf(graph.num_nodes());
-  const auto num_edges = static_cast<graph::EdgeId>(graph.num_edges());
-  graph::EdgeId drop_from = 0;
-  for (graph::EdgeId lo = 0; lo < num_edges; lo += kEdgeBlock) {
-    const graph::EdgeId hi = std::min<graph::EdgeId>(num_edges, lo + kEdgeBlock);
-    const graph::EdgeWindow w = graph.edge_range(lo, hi);
-    for (std::size_t i = 0; i < w.size(); ++i) uf.unite(w.srcs[i], w.dsts[i]);
-    if (budget != nullptr) budget->check();
-    if (hi - drop_from >= kDropStride) {
-      graph.drop_edge_pages(drop_from, hi);
-      drop_from = hi;
-    }
-  }
+  sweep_edges(graph, budget, [&](graph::NodeId u, graph::NodeId v) {
+    uf.unite(u, v);
+  });
   return label_components(uf, graph.num_nodes(), nullptr);
 }
 
@@ -93,23 +82,15 @@ Components weakly_connected_components(
   std::vector<bool> selected(graph.num_nodes(), false);
   for (const graph::NodeId v : restrict_to) selected[v] = true;
 
-  // Ascending-EdgeId sweep == per-selected-node walk (CSR edge order), so
-  // the unite sequence matches the SignedGraph overload exactly.
   UnionFind uf(graph.num_nodes());
-  const auto num_edges = static_cast<graph::EdgeId>(graph.num_edges());
-  graph::EdgeId drop_from = 0;
-  for (graph::EdgeId lo = 0; lo < num_edges; lo += kEdgeBlock) {
-    const graph::EdgeId hi = std::min<graph::EdgeId>(num_edges, lo + kEdgeBlock);
-    const graph::EdgeWindow w = graph.edge_range(lo, hi);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      const graph::NodeId u = w.srcs[i];
-      const graph::NodeId v = w.dsts[i];
+  if (graph.mapped()) {
+    sweep_edges(graph, budget, [&](graph::NodeId u, graph::NodeId v) {
       if (selected[u] && selected[v]) uf.unite(u, v);
-    }
-    if (budget != nullptr) budget->check();
-    if (hi - drop_from >= kDropStride) {
-      graph.drop_edge_pages(drop_from, hi);
-      drop_from = hi;
+    });
+  } else {
+    for (const graph::NodeId u : restrict_to) {
+      for (const graph::NodeId v : graph.out_neighbors(u))
+        if (selected[v]) uf.unite(u, v);
     }
   }
   return label_components(uf, graph.num_nodes(), &selected);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/columnar.hpp"
-#include "graph/signed_graph.hpp"
 #include "util/work_budget.hpp"
 
 namespace rid::algo {
@@ -21,30 +20,19 @@ struct Components {
   std::vector<std::vector<graph::NodeId>> groups() const;
 };
 
-/// Components over all nodes.
-Components weakly_connected_components(const graph::SignedGraph& graph);
-
-/// Components of the subgraph induced by `restrict_to` (edges between
-/// selected nodes only). Nodes outside the set get label kInvalidNode.
-Components weakly_connected_components(const graph::SignedGraph& graph,
-                                       std::span<const graph::NodeId>
-                                           restrict_to);
-
-// --- columnar (out-of-core) variants ---------------------------------------
-// Stream the mmap-ed edge columns in fixed-size edge_range windows instead
-// of walking per-node adjacency, so only one block of the edge array needs
-// to be resident at a time and an armed WorkBudget is polled between
-// blocks. CSR stores edges sorted by (src, dst), so the ascending-EdgeId
-// sweep performs the *identical* unite sequence as the per-node SignedGraph
-// walk — the resulting labels (and everything derived from them) are
-// bitwise equal across the two backends.
-
-/// Components over all nodes of a columnar view.
+/// Components over all nodes. Streams the edge columns in fixed-size
+/// edge_range windows, so only one block of a mapped edge array needs to be
+/// resident at a time, and polls an armed WorkBudget between blocks.
 Components weakly_connected_components(const graph::ColumnarGraphView& graph,
                                        const util::BudgetScope* budget =
                                            nullptr);
 
-/// Restricted variant (see above). Nodes outside the set get kInvalidNode.
+/// Components of the subgraph induced by `restrict_to` (edges between
+/// selected nodes only). Nodes outside the set get label kInvalidNode. A
+/// mapped view is swept in edge windows as above; an in-RAM view walks the
+/// selected nodes' out-edges, which touches only their adjacency. Labels
+/// depend only on the partition (they are assigned by ascending node scan),
+/// so both walks give the same labels.
 Components weakly_connected_components(const graph::ColumnarGraphView& graph,
                                        std::span<const graph::NodeId>
                                            restrict_to,

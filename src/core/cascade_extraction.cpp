@@ -5,7 +5,6 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include "algo/arborescence.hpp"
 #include "algo/components.hpp"
@@ -25,9 +24,8 @@ namespace {
 /// Arc score before log: either the raw weight or the g-factor. Unknown
 /// states are treated optimistically (as if consistent) because imputation
 /// will later choose the consistent interpretation.
-template <typename Graph>
-double raw_arc_score(const Graph& diffusion, graph::EdgeId e,
-                     std::span<const graph::NodeState> states,
+double raw_arc_score(const graph::ColumnarGraphView& diffusion,
+                     graph::EdgeId e, std::span<const graph::NodeState> states,
                      const ExtractionConfig& config) {
   if (config.arc_score == ArcScore::kRawWeight) return diffusion.edge_weight(e);
   const graph::NodeState sx = states[diffusion.edge_src(e)];
@@ -44,7 +42,7 @@ double raw_arc_score(const Graph& diffusion, graph::EdgeId e,
 }
 
 /// The finish phase (state imputation, g-factors, side evidence) looks
-/// arcs up by global EdgeId, so on the columnar backend its page faults
+/// arcs up by global EdgeId, so on a mapped view its page faults
 /// land randomly across the edge columns and never fall behind a sweep
 /// cursor — and the kernel's fault-around maps up to 16 surrounding
 /// page-cache pages (~64 KiB) per probe, so unchecked lookups accumulate
@@ -71,8 +69,8 @@ class PageReclaimer {
   std::atomic<std::uint64_t> count_{0};
 };
 
-template <typename Graph>
-void annotate_g_factors_impl(CascadeTree& tree, const Graph& diffusion,
+void annotate_g_factors_impl(CascadeTree& tree,
+                             const graph::ColumnarGraphView& diffusion,
                              const diffusion::LikelihoodConfig& config,
                              PageReclaimer* reclaimer = nullptr) {
   for (std::size_t v = 0; v < tree.size(); ++v) {
@@ -86,21 +84,6 @@ void annotate_g_factors_impl(CascadeTree& tree, const Graph& diffusion,
                             tree.state[v], diffusion.edge_weight(e), config);
     if (reclaimer != nullptr) reclaimer->tick(2);
   }
-}
-
-/// Component discovery per backend: the columnar view streams the edge
-/// array in budgeted blocks, the in-RAM graph walks per-node adjacency.
-/// Both yield the same partition, hence the same labels.
-algo::Components infected_components(const graph::SignedGraph& diffusion,
-                                     std::span<const graph::NodeId> infected,
-                                     const ExtractionConfig&) {
-  return algo::weakly_connected_components(diffusion, infected);
-}
-
-algo::Components infected_components(const graph::ColumnarGraphView& diffusion,
-                                     std::span<const graph::NodeId> infected,
-                                     const ExtractionConfig& config) {
-  return algo::weakly_connected_components(diffusion, infected, config.budget);
 }
 
 /// Streamed-gather window sizes (matching algo/components' sweep): budget
@@ -128,7 +111,7 @@ struct ArcArena {
   }
 };
 
-/// Two ascending edge-window sweeps over the columnar view: count arcs per
+/// Two ascending edge-window sweeps over the view: count arcs per
 /// component, then scatter them into the arena. An edge is a candidate arc
 /// iff both endpoints are infected, in which case they share a component
 /// (anything else would have merged the components), so the component label
@@ -198,11 +181,9 @@ ArcArena gather_arcs_streamed(const graph::ColumnarGraphView& diffusion,
 
 /// Everything downstream of arc gathering for one component: the Edmonds
 /// solve, tree splitting, state imputation, g-factor annotation, and side
-/// evidence. `Handle` is the SignedGraph itself or a PartialGraphView
-/// window over the component's node range — only per-edge accessors and
-/// in_edge_ids of member nodes are touched, so the window suffices.
-template <typename Handle>
-void finish_component(const Handle& diffusion,
+/// evidence. Only per-edge accessors and in_edge_ids of member nodes are
+/// touched.
+void finish_component(const graph::ColumnarGraphView& diffusion,
                       std::span<const graph::NodeId> members,
                       std::span<const algo::WeightedArc> arcs,
                       std::span<const graph::NodeState> states,
@@ -295,11 +276,6 @@ void finish_component(const Handle& diffusion,
 
 }  // namespace
 
-void annotate_g_factors(CascadeTree& tree, const graph::SignedGraph& diffusion,
-                        const diffusion::LikelihoodConfig& config) {
-  annotate_g_factors_impl(tree, diffusion, config);
-}
-
 void annotate_g_factors(CascadeTree& tree,
                         const graph::ColumnarGraphView& diffusion,
                         const diffusion::LikelihoodConfig& config) {
@@ -320,12 +296,9 @@ void apply_candidate_mask(CascadeForest& forest,
   }
 }
 
-namespace {
-
-template <typename Graph>
-CascadeForest extract_cascade_forest_impl(
-    const Graph& diffusion, std::span<const graph::NodeState> states,
-    const ExtractionConfig& config) {
+CascadeForest extract_cascade_forest(const graph::ColumnarGraphView& diffusion,
+                                     std::span<const graph::NodeState> states,
+                                     const ExtractionConfig& config) {
   validate_snapshot(diffusion.num_nodes(), states);
   if (config.score_floor <= 0.0 || config.score_floor >= 1.0)
     throw std::invalid_argument(
@@ -337,13 +310,13 @@ CascadeForest extract_cascade_forest_impl(
   if (infected.empty()) return out;
 
   const algo::Components comps =
-      infected_components(diffusion, infected, config);
+      algo::weakly_connected_components(diffusion, infected, config.budget);
   out.num_components = comps.count;
   const auto groups = comps.groups();
 
-  constexpr bool is_columnar =
-      std::is_same_v<Graph, graph::ColumnarGraphView>;
-  const bool streamed = is_columnar && config.arc_gather != ArcGather::kCopy;
+  const bool streamed =
+      config.arc_gather == ArcGather::kStreamed ||
+      (config.arc_gather == ArcGather::kAuto && diffusion.mapped());
 
   // Local-index map shared by all component tasks, populated up front and
   // read-only during the tasks: component member sets are disjoint, and any
@@ -359,16 +332,14 @@ CascadeForest extract_cascade_forest_impl(
   // Streamed gather: one serial sweep fills every component's arc slice
   // before the per-component solves fan out.
   ArcArena arena;
-  if constexpr (is_columnar) {
-    if (streamed) {
-      diffusion.advise_sequential();
-      arena = gather_arcs_streamed(diffusion, comps, to_local, groups.size(),
-                                   states, config);
-      // The per-component solves ahead probe arcs by global EdgeId in no
-      // particular order: suppress readahead/fault-around so each probe
-      // maps as few pages as possible (advise_normal() after the join).
-      diffusion.advise_random();
-    }
+  if (streamed) {
+    diffusion.advise_sequential();
+    arena = gather_arcs_streamed(diffusion, comps, to_local, groups.size(),
+                                 states, config);
+    // The per-component solves ahead probe arcs by global EdgeId in no
+    // particular order: suppress readahead/fault-around so each probe
+    // maps as few pages as possible (advise_normal() after the join).
+    diffusion.advise_random();
   }
 
   // Per-component outputs, merged in component order after the join so the
@@ -379,9 +350,7 @@ CascadeForest extract_cascade_forest_impl(
   // Caps the finish phase's resident set in streamed mode; see
   // PageReclaimer. Shared across component tasks, nullptr otherwise.
   std::optional<PageReclaimer> reclaimer;
-  if constexpr (is_columnar) {
-    if (streamed) reclaimer.emplace(diffusion);
-  }
+  if (streamed && diffusion.mapped()) reclaimer.emplace(diffusion);
 
   const auto process_group = [&](std::size_t gi) {
     RID_FAILPOINT("extract.component");
@@ -393,7 +362,7 @@ CascadeForest extract_cascade_forest_impl(
     std::vector<algo::WeightedArc> copied;
     std::span<const algo::WeightedArc> arcs;
     if (streamed) {
-      if constexpr (is_columnar) arcs = arena.slice(gi);
+      arcs = arena.slice(gi);
     } else {
       for (graph::NodeId i = 0; i < members.size(); ++i) {
         checker.tick();
@@ -410,26 +379,15 @@ CascadeForest extract_cascade_forest_impl(
     }
     group_arcs[gi] = arcs.size();
 
-    if constexpr (is_columnar) {
-      // Solve over the component's node window — member adjacency only, no
-      // per-component graph copy.
-      const graph::PartialGraphView window =
-          diffusion.node_range(members.front(), members.back() + 1);
-      finish_component(window, members, arcs, states, config, checker,
-                       group_trees[gi],
-                       reclaimer.has_value() ? &*reclaimer : nullptr);
-    } else {
-      finish_component(diffusion, members, arcs, states, config, checker,
-                       group_trees[gi]);
-    }
+    finish_component(diffusion, members, arcs, states, config, checker,
+                     group_trees[gi],
+                     reclaimer.has_value() ? &*reclaimer : nullptr);
   };
 
   util::parallel_for_each(groups.size(), std::max<std::size_t>(1, config.num_threads),
                           process_group);
 
-  if constexpr (is_columnar) {
-    if (streamed) diffusion.advise_normal();
-  }
+  if (streamed) diffusion.advise_normal();
 
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     out.num_candidate_arcs += group_arcs[gi];
@@ -451,20 +409,6 @@ CascadeForest extract_cascade_forest_impl(
                   out.trees.size(), " trees, ", out.num_candidate_arcs,
                   " candidate arcs");
   return out;
-}
-
-}  // namespace
-
-CascadeForest extract_cascade_forest(const graph::SignedGraph& diffusion,
-                                     std::span<const graph::NodeState> states,
-                                     const ExtractionConfig& config) {
-  return extract_cascade_forest_impl(diffusion, states, config);
-}
-
-CascadeForest extract_cascade_forest(const graph::ColumnarGraphView& diffusion,
-                                     std::span<const graph::NodeState> states,
-                                     const ExtractionConfig& config) {
-  return extract_cascade_forest_impl(diffusion, states, config);
 }
 
 }  // namespace rid::core

@@ -16,7 +16,6 @@
 
 #include "diffusion/likelihood.hpp"
 #include "graph/columnar.hpp"
-#include "graph/signed_graph.hpp"
 #include "util/work_budget.hpp"
 
 namespace rid::core {
@@ -65,18 +64,18 @@ enum class ArcScore {
 };
 
 /// How candidate arcs are materialized for the per-component Edmonds solves.
+/// Arc sequences (and hence forests) are bit-identical under every mode;
+/// only the paging pattern and budget poll cadence differ.
 enum class ArcGather {
-  /// Streamed on the columnar backend (one ascending edge-window sweep
-  /// scatters arcs into a per-component spillable arena, resident set
-  /// O(window)); per-component adjacency-walk copies on the in-RAM backend.
+  /// Streamed when the view is mapped (ColumnarGraphView::mapped), copies
+  /// for an in-RAM view.
   kAuto,
-  /// Force per-component adjacency-walk copies on either backend — the
-  /// original path, kept as the oracle the streamed gather is verified
-  /// against. Arc sequences (and hence forests) are bit-identical either
-  /// way; only the paging pattern and budget poll cadence differ.
+  /// Per-component adjacency-walk copies — the original path, kept as the
+  /// oracle the streamed gather is verified against.
   kCopy,
-  /// Force the streamed gather (columnar only; the in-RAM backend has no
-  /// edge windows and falls back to copies).
+  /// One ascending edge-window sweep scatters arcs into a per-component
+  /// spillable arena (resident set O(window) on a mapped file), on either
+  /// storage.
   kStreamed,
 };
 
@@ -118,23 +117,17 @@ struct CascadeForest {
   std::size_t num_candidate_arcs = 0;
 };
 
-/// Runs steps 1-4 for the whole snapshot. The two overloads share one
-/// template body and produce bit-identical forests for the same graph
-/// content; the columnar variant streams component discovery *and* (under
-/// ArcGather::kAuto) candidate-arc gathering over the mmap-ed edge array in
-/// windows, dropping pages behind the cursor, and runs tree assembly and
-/// side evidence through per-component PartialGraphView windows — no
-/// per-component graph copies, resident set O(window + forest).
-CascadeForest extract_cascade_forest(const graph::SignedGraph& diffusion,
-                                     std::span<const graph::NodeState> states,
-                                     const ExtractionConfig& config);
+/// Runs steps 1-4 for the whole snapshot. On a mapped view, component
+/// discovery and (under ArcGather::kAuto) candidate-arc gathering stream
+/// the edge array in windows, dropping pages behind the cursor, and the
+/// per-component solves read the view directly — no per-component graph
+/// copies, resident set O(window + forest). Forests are bit-identical for
+/// the same graph content on either storage.
 CascadeForest extract_cascade_forest(const graph::ColumnarGraphView& diffusion,
                                      std::span<const graph::NodeState> states,
                                      const ExtractionConfig& config);
 
 /// Recomputes in_g for a tree after state changes (used by tests).
-void annotate_g_factors(CascadeTree& tree, const graph::SignedGraph& diffusion,
-                        const diffusion::LikelihoodConfig& config);
 void annotate_g_factors(CascadeTree& tree,
                         const graph::ColumnarGraphView& diffusion,
                         const diffusion::LikelihoodConfig& config);

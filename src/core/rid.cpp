@@ -303,17 +303,13 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
   return out;
 }
 
-namespace {
+namespace internal {
 
-/// Shared front-end for both storage backends: repair -> extract -> mask ->
-/// solve. Every step is either backend-agnostic or overloaded per backend,
-/// so the two public run_rid overloads are bit-identical on equal content.
-template <typename Graph>
-DetectionResult run_rid_impl(const Graph& diffusion,
-                             std::span<const graph::NodeState> states,
-                             const RidConfig& config) {
-  trace::TraceSpan span("run_rid");
-  rid_metrics().runs.add(1);
+DetectionResult detect_with(
+    const graph::ColumnarGraphView& diffusion,
+    std::span<const graph::NodeState> states, const RidConfig& config,
+    const trace::TraceSpan& span,
+    const std::function<DetectionResult(const CascadeForest&)>& solve) {
   // kRepair sanitizes copies of the snapshot and candidate mask up front;
   // kReject leaves validation to extract_cascade_forest (which throws on a
   // size mismatch, exactly as before).
@@ -335,7 +331,7 @@ DetectionResult run_rid_impl(const Graph& diffusion,
   }
 
   // extract_cascade_forest records its own "extract_forest" span; the
-  // timestamps here only feed the diagnostics field.
+  // timestamps here only feed the diagnostics and the histogram.
   const std::uint64_t extraction_start_ns = trace::now_ns();
   ExtractionConfig extraction = config.extraction;
   if (extraction.num_threads == 0) extraction.num_threads = config.num_threads;
@@ -345,31 +341,31 @@ DetectionResult run_rid_impl(const Graph& diffusion,
                                       extraction_start_ns);
   if (!candidates->empty()) apply_candidate_mask(forest, *candidates);
 
-  DetectionResult result = run_rid_on_forest(forest, config);
+  DetectionResult result = solve(forest);
   result.diagnostics.repairs = std::move(repairs.repairs);
   result.diagnostics.extraction_seconds =
       static_cast<double>(extraction_end_ns - extraction_start_ns) * 1e-9;
   result.diagnostics.total_seconds = span.seconds();
-  internal::attach_stage_totals(result.diagnostics);
+  attach_stage_totals(result.diagnostics);
+  return result;
+}
+
+}  // namespace internal
+
+DetectionResult run_rid(const graph::ColumnarGraphView& diffusion,
+                        std::span<const graph::NodeState> states,
+                        const RidConfig& config) {
+  trace::TraceSpan span("run_rid");
+  rid_metrics().runs.add(1);
+  DetectionResult result = internal::detect_with(
+      diffusion, states, config, span, [&](const CascadeForest& forest) {
+        return run_rid_on_forest(forest, config);
+      });
   util::log_debug("run_rid(beta=", config.beta, "): ", result.initiators.size(),
                   " initiators from ", result.num_trees, " trees (",
                   result.diagnostics.num_degraded, " degraded, ",
                   result.diagnostics.num_failed, " failed)");
   return result;
-}
-
-}  // namespace
-
-DetectionResult run_rid(const graph::SignedGraph& diffusion,
-                        std::span<const graph::NodeState> states,
-                        const RidConfig& config) {
-  return run_rid_impl(diffusion, states, config);
-}
-
-DetectionResult run_rid(const graph::ColumnarGraphView& diffusion,
-                        std::span<const graph::NodeState> states,
-                        const RidConfig& config) {
-  return run_rid_impl(diffusion, states, config);
 }
 
 }  // namespace rid::core

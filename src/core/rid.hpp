@@ -59,12 +59,9 @@ struct RidConfig {
 };
 
 /// Runs RID on a snapshot of the diffusion network. States vector must have
-/// one entry per node; inactive nodes are ignored. The columnar overload
-/// runs the identical pipeline over a mmap-ed .ridg view (zero-copy load)
-/// and produces a bit-identical DetectionResult for the same graph content.
-DetectionResult run_rid(const graph::SignedGraph& diffusion,
-                        std::span<const graph::NodeState> states,
-                        const RidConfig& config);
+/// one entry per node; inactive nodes are ignored. The diffusion network is
+/// an in-RAM SignedGraph or a mapped .ridg view (zero-copy load); the
+/// DetectionResult is bit-identical for the same graph content.
 DetectionResult run_rid(const graph::ColumnarGraphView& diffusion,
                         std::span<const graph::NodeState> states,
                         const RidConfig& config);
@@ -162,16 +159,10 @@ std::vector<util::ShardWork> plan_shards(const CascadeForest& forest,
 /// carry extra shard fields. Trees a worker cannot survive (poison pills)
 /// or that exhaust their shard's attempts degrade to the RID-Tree root-only
 /// fallback exactly like an in-process DP failure. On platforms without
-/// fork() this transparently runs in-process.
-DetectionResult run_rid_sharded(const graph::SignedGraph& diffusion,
-                                std::span<const graph::NodeState> states,
-                                const RidConfig& config,
-                                const ShardedConfig& sharded);
-
-/// Columnar variant: after extraction the mapped file's resident pages are
-/// dropped (MADV_DONTNEED) before workers fork, so each worker's RSS is
-/// O(its shard's trees), not O(graph) — the forest carries everything the
-/// solves need. Result is bit-identical to the SignedGraph overload.
+/// fork() this transparently runs in-process. On a mapped view the file's
+/// resident pages are dropped (MADV_DONTNEED) after extraction, before
+/// workers fork, so each worker's RSS is O(its shard's trees), not
+/// O(graph) — the forest carries everything the solves need.
 DetectionResult run_rid_sharded(const graph::ColumnarGraphView& diffusion,
                                 std::span<const graph::NodeState> states,
                                 const RidConfig& config,

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <exception>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,8 +15,20 @@
 #include "core/isomit.hpp"
 #include "core/rid.hpp"
 #include "core/tree_dp.hpp"
+#include "util/trace.hpp"
 
 namespace rid::core::internal {
+
+/// The body run_rid and run_rid_sharded share: optional repair of the
+/// snapshot and candidate mask (RepairPolicy::kRepair), forest extraction,
+/// candidate mask, then `solve` on the forest. Fills the result's repairs,
+/// extraction and total seconds (total from `span`, the caller's run span)
+/// and attaches the stage totals.
+DetectionResult detect_with(
+    const graph::ColumnarGraphView& diffusion,
+    std::span<const graph::NodeState> states, const RidConfig& config,
+    const util::trace::TraceSpan& span,
+    const std::function<DetectionResult(const CascadeForest&)>& solve);
 
 /// Copies the trace's per-stage totals into the diagnostics when tracing is
 /// live (the breakdown covers every span recorded since trace::start(), so

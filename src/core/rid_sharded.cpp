@@ -13,7 +13,6 @@
 #include <numeric>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -465,70 +464,22 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   return out;
 }
 
-namespace {
-
-template <typename Graph>
-DetectionResult run_rid_sharded_impl(const Graph& diffusion,
-                                     std::span<const graph::NodeState> states,
-                                     const RidConfig& config,
-                                     const ShardedConfig& sharded) {
-  trace::TraceSpan span("run_rid_sharded");
-  // Same front half as run_rid: optional repair, extraction (in the parent,
-  // once — workers inherit the forest copy-on-write), candidate mask.
-  std::vector<graph::NodeState> repaired_states;
-  std::vector<bool> repaired_candidates;
-  std::span<const graph::NodeState> view = states;
-  const std::vector<bool>* candidates = &config.candidates;
-  SanitizeReport repairs;
-  if (config.repair_policy == RepairPolicy::kRepair) {
-    repaired_states.assign(states.begin(), states.end());
-    repairs.merge(sanitize_states(diffusion.num_nodes(), repaired_states,
-                                  RepairPolicy::kRepair));
-    view = repaired_states;
-    repaired_candidates = config.candidates;
-    repairs.merge(sanitize_candidates(diffusion.num_nodes(),
-                                      repaired_candidates,
-                                      RepairPolicy::kRepair));
-    candidates = &repaired_candidates;
-  }
-
-  const std::uint64_t extraction_start_ns = trace::now_ns();
-  ExtractionConfig extraction = config.extraction;
-  if (extraction.num_threads == 0) extraction.num_threads = config.num_threads;
-  CascadeForest forest = extract_cascade_forest(diffusion, view, extraction);
-  const std::uint64_t extraction_end_ns = trace::now_ns();
-  if (!candidates->empty()) apply_candidate_mask(forest, *candidates);
-
-  // The solves only need the forest. On the columnar backend, drop the
-  // graph's resident pages *before* the supervisor forks workers, so each
-  // child's RSS is O(its shard's trees) instead of O(graph) — the pages
-  // re-fault from the file if the parent touches them again.
-  if constexpr (std::is_same_v<Graph, graph::ColumnarGraphView>)
-    diffusion.advise_dontneed();
-
-  DetectionResult result = run_rid_sharded_on_forest(forest, config, sharded);
-  result.diagnostics.repairs = std::move(repairs.repairs);
-  result.diagnostics.extraction_seconds =
-      static_cast<double>(extraction_end_ns - extraction_start_ns) * 1e-9;
-  result.diagnostics.total_seconds = span.seconds();
-  internal::attach_stage_totals(result.diagnostics);
-  return result;
-}
-
-}  // namespace
-
-DetectionResult run_rid_sharded(const graph::SignedGraph& diffusion,
-                                std::span<const graph::NodeState> states,
-                                const RidConfig& config,
-                                const ShardedConfig& sharded) {
-  return run_rid_sharded_impl(diffusion, states, config, sharded);
-}
-
 DetectionResult run_rid_sharded(const graph::ColumnarGraphView& diffusion,
                                 std::span<const graph::NodeState> states,
                                 const RidConfig& config,
                                 const ShardedConfig& sharded) {
-  return run_rid_sharded_impl(diffusion, states, config, sharded);
+  trace::TraceSpan span("run_rid_sharded");
+  // Extraction runs in the parent, once; workers inherit the forest
+  // copy-on-write.
+  return internal::detect_with(
+      diffusion, states, config, span, [&](const CascadeForest& forest) {
+        // The solves only need the forest. On a mapped view, drop the
+        // graph's resident pages *before* the supervisor forks workers, so
+        // each child's RSS is O(its shard's trees) instead of O(graph) —
+        // the pages re-fault from the file if the parent touches them again.
+        diffusion.advise_dontneed();
+        return run_rid_sharded_on_forest(forest, config, sharded);
+      });
 }
 
 }  // namespace rid::core

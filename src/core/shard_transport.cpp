@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 
 #include "core/checkpoint.hpp"
 #include "core/rid_internal.hpp"
@@ -32,6 +34,8 @@
 
 #if !defined(_WIN32)
 #include <unistd.h>
+
+extern char** environ;
 #endif
 
 namespace rid::core {
@@ -52,6 +56,23 @@ constexpr std::uint32_t kAssignmentVersion = 3;
 constexpr std::uint32_t kProtocolVersion = 3;
 
 constexpr double kDispatcherPollSeconds = 0.25;
+
+/// Serializes fork() against the dispatcher's frame handling. Handler
+/// threads decode frames, append records and log (allocating) while the
+/// supervisor thread forks the next worker, and an allocator whose locks
+/// have no fork handlers (the ASan runtime of g++ 12) can hand the child a
+/// lock another thread held: the child then hangs at its first allocation.
+/// pump() holds this gate and the fork launcher holds it across fork(), as
+/// the metrics and failpoint registries hold their locks through
+/// pthread_atfork. It is taken explicitly so that it is the forking
+/// thread's first lock: pump() may take the failpoint registry's lock.
+/// Thread start and exit allocate too, so the fork launcher's handler
+/// threads are running before it forks and park until the dispatcher
+/// stops instead of exiting.
+std::mutex& fork_gate() {
+  static std::mutex gate;
+  return gate;
+}
 
 /// Streamed graph shipping window. Each chunk is one checksummed frame, so
 /// damage granularity (and re-ship cost on a dropped connection) is one
@@ -494,8 +515,16 @@ struct SocketDispatcher::Impl {
       telemetry;
 
   std::atomic<bool> stop{false};
+  std::condition_variable stopped;  // parked handler threads wait on it
   std::atomic<std::uint64_t> handshakes_completed{0};
   std::thread acceptor;
+
+  /// Keeps a finished handler thread alive until the dispatcher stops (see
+  /// fork_gate).
+  void park() {
+    std::unique_lock<std::mutex> lock(mutex);
+    stopped.wait(lock, [this] { return stop.load(); });
+  }
 
   void log_event(std::string text) {
     std::lock_guard<std::mutex> lock(mutex);
@@ -582,6 +611,7 @@ struct SocketDispatcher::Impl {
   /// the stream is over: kDone, a worker error, loss, damage, or a frame
   /// that has no business here.
   bool pump(Stream& s) {
+    const std::lock_guard<std::mutex> gate(fork_gate());
     TransportMetrics& tm = transport_metrics();
     std::string payload;
     try {
@@ -903,7 +933,11 @@ SocketDispatcher::SocketDispatcher(const util::net::Endpoint& endpoint,
 }
 
 SocketDispatcher::~SocketDispatcher() {
-  impl_->stop.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    impl_->stop.store(true, std::memory_order_relaxed);
+  }
+  impl_->stopped.notify_all();
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
   std::vector<std::thread> handlers;
   {
@@ -934,13 +968,20 @@ util::ShardLauncher SocketDispatcher::fork_launcher(
       auto [ours, theirs] = net::socket_pair();
       const std::shared_ptr<Stream> stream =
           impl->open_stream(shard_id, attempt, std::move(ours));
+      const auto running = std::make_shared<std::promise<void>>();
+      std::future<void> started = running->get_future();
       {
         std::lock_guard<std::mutex> lock(impl->mutex);
-        impl->handlers.emplace_back([impl, stream] {
+        impl->handlers.emplace_back([impl, stream, running] {
+          running->set_value();
           impl->serve_stream(*stream);
+          impl->park();
         });
       }
+      started.wait();
+      std::unique_lock<std::mutex> gate(fork_gate());
       const pid_t pid = fork();
+      gate.unlock();
       if (pid == 0) {
         // The worker inherited the forest and its assignment: no hello, no
         // auth, no graph. It also inherited this process's metrics and span
@@ -995,13 +1036,21 @@ util::ShardLauncher SocketDispatcher::exec_launcher(
           impl->options.graph_cache_dir.empty()
               ? std::string()
               : "--graph-cache-dir=" + impl->options.graph_cache_dir;
+      // The shared secret travels by environment, never argv: worker
+      // command lines are world-readable through ps/procfs. The environment
+      // is built here because the child may only make async-signal-safe
+      // calls before exec: another thread can hold an allocator lock.
+      const std::string& token = impl->options.auth_token;
+      const std::string token_entry = "RID_AUTH_TOKEN=" + token;
+      std::vector<const char*> envp;
+      for (char** entry = environ; *entry != nullptr; ++entry)
+        if (token.empty() || std::strncmp(*entry, "RID_AUTH_TOKEN=", 15) != 0)
+          envp.push_back(*entry);
+      if (!token.empty()) envp.push_back(token_entry.c_str());
+      envp.push_back(nullptr);
       const pid_t pid = fork();
       if (pid == 0) {
         util::apply_worker_rlimits(options);
-        // The shared secret travels by environment, never argv: worker
-        // command lines are world-readable through ps/procfs.
-        if (!impl->options.auth_token.empty())
-          ::setenv("RID_AUTH_TOKEN", impl->options.auth_token.c_str(), 1);
         const char* argv[] = {worker_command.c_str(),
                               "worker",
                               "--connect",
@@ -1012,7 +1061,8 @@ util::ShardLauncher SocketDispatcher::exec_launcher(
                               attempt_text.c_str(),
                               cache_flag.empty() ? nullptr : cache_flag.c_str(),
                               nullptr};
-        ::execv(worker_command.c_str(), const_cast<char* const*>(argv));
+        ::execve(worker_command.c_str(), const_cast<char* const*>(argv),
+                 const_cast<char* const*>(envp.data()));
         _exit(127);  // exec failure = a crash to the supervisor
       }
       if (pid > 0) transport_metrics().workers_launched.add(1);

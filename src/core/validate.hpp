@@ -34,8 +34,8 @@ struct SanitizeReport {
 
 /// Snapshot repair: resizes `states` to the graph's node count (padding with
 /// kInactive) and resets state bytes outside {+1, -1, 0, ?} to kInactive.
-/// Only the node count matters, so backend-agnostic callers (columnar
-/// run_rid) use the num_nodes overload directly.
+/// Only the node count matters, so callers holding a graph view (run_rid)
+/// use the num_nodes overload directly.
 SanitizeReport sanitize_states(graph::NodeId num_nodes,
                                std::vector<graph::NodeState>& states,
                                RepairPolicy policy);

@@ -46,50 +46,26 @@ void MfcWorkspace::begin_trial(graph::NodeId num_nodes,
   num_steps_ = 0;
 }
 
-template <typename Graph>
-void MfcEngine::init(const Graph& diffusion) {
+MfcEngine::MfcEngine(const graph::ColumnarGraphView& diffusion,
+                     const MfcConfig& config)
+    : graph_(diffusion), config_(config) {
   if (config_.alpha < 1.0)
     throw std::invalid_argument("MfcEngine: alpha must be >= 1");
-  num_nodes_ = diffusion.num_nodes();
-  // The offset column is copied because the two backends store it at
-  // different widths (EdgeId vs u64 on disk); dst/sign alias in place.
-  const auto offsets = diffusion.csr_out_offsets();
-  out_begin_.assign(offsets.begin(), offsets.end());
-  dst_ = diffusion.csr_dsts();
-  sign_ = diffusion.csr_signs();
-  const std::size_t m = diffusion.num_edges();
+  const std::size_t m = graph_.num_edges();
   probability_.resize(m);
   for (graph::EdgeId e = 0; e < m; ++e) {
-    double p = diffusion.edge_weight(e);
-    if (config_.boost_positive && sign_[e] == graph::Sign::kPositive)
+    double p = graph_.edge_weight(e);
+    if (config_.boost_positive &&
+        graph_.edge_sign(e) == graph::Sign::kPositive)
       p = std::min(1.0, config_.alpha * p);
     probability_[e] = p;
   }
 }
 
-MfcEngine::MfcEngine(const graph::SignedGraph& diffusion,
-                     const MfcConfig& config)
-    : graph_(&diffusion), config_(config) {
-  init(diffusion);
-}
-
-MfcEngine::MfcEngine(const graph::ColumnarGraphView& diffusion,
-                     const MfcConfig& config)
-    : config_(config) {
-  init(diffusion);
-}
-
-const graph::SignedGraph& MfcEngine::graph() const {
-  if (graph_ == nullptr)
-    throw std::logic_error(
-        "MfcEngine::graph(): engine is bound to a ColumnarGraphView");
-  return *graph_;
-}
-
 MfcTrialStats MfcEngine::run(const SeedSet& seeds, MfcWorkspace& ws,
                              util::Rng& rng) const {
-  validate_seed_set(seeds, num_nodes_);
-  ws.begin_trial(num_nodes_, dst_.size());
+  validate_seed_set(seeds, graph_.num_nodes());
+  ws.begin_trial(graph_.num_nodes(), graph_.num_edges());
   const std::uint32_t epoch = ws.epoch_;
 
   for (std::size_t i = 0; i < seeds.nodes.size(); ++i) {
@@ -110,11 +86,10 @@ MfcTrialStats MfcEngine::run(const SeedSet& seeds, MfcWorkspace& ws,
     ws.next_.clear();
     for (const graph::NodeId u : ws.recent_) {
       const graph::NodeState su = ws.state_[u];
-      const graph::EdgeId e_end = out_begin_[u + 1];
-      for (graph::EdgeId e = out_begin_[u]; e < e_end; ++e) {
+      for (const graph::EdgeId e : graph_.out_edge_ids(u)) {
         if (ws.edge_epoch_[e] == epoch) continue;  // one attempt per pair
-        const graph::NodeId v = dst_[e];
-        const graph::Sign sign = sign_[e];
+        const graph::NodeId v = graph_.edge_dst(e);
+        const graph::Sign sign = graph_.edge_sign(e);
         const graph::NodeState sv = ws.node_epoch_[v] == epoch
                                         ? ws.state_[v]
                                         : graph::NodeState::kInactive;
@@ -155,7 +130,7 @@ MfcTrialStats MfcEngine::run(const SeedSet& seeds, MfcWorkspace& ws,
 }
 
 Cascade MfcEngine::export_cascade(const MfcWorkspace& ws) const {
-  const graph::NodeId n = num_nodes_;
+  const graph::NodeId n = graph_.num_nodes();
   Cascade out;
   out.state.assign(n, graph::NodeState::kInactive);
   out.activator.assign(n, graph::kInvalidNode);

@@ -116,28 +116,23 @@ struct MfcBatchResult {
 /// weights after construction requires building a new engine (the
 /// probability table is a snapshot).
 ///
-/// Internally the hot loop runs over flat CSR columns (offset array +
-/// dst/sign spans aliasing the backing store), so the engine simulates over
-/// an in-RAM SignedGraph or a mmap-ed ColumnarGraphView identically — the
-/// Rng stream and every result are bit-for-bit equal for equal content.
+/// The hot loop runs over the view's flat CSR columns (offsets, dst, sign),
+/// which alias the backing store, so the engine simulates over an in-RAM
+/// SignedGraph or a mapped .ridg identically — the Rng stream and every
+/// result are bit-for-bit equal for equal content.
 class MfcEngine {
  public:
   /// Validates the config (alpha >= 1) and precomputes the per-edge
   /// success-probability table. Throws std::invalid_argument on bad config.
-  MfcEngine(const graph::SignedGraph& diffusion, const MfcConfig& config);
-  /// Columnar variant: dst/sign columns are read zero-copy from the mapped
-  /// file (the view must outlive the engine).
   MfcEngine(const graph::ColumnarGraphView& diffusion,
             const MfcConfig& config);
 
-  /// The bound SignedGraph. Throws std::logic_error for an engine built
-  /// over a ColumnarGraphView (which has no SignedGraph to return) — use
-  /// the CSR accessors below for backend-agnostic code.
-  const graph::SignedGraph& graph() const;
+  /// The bound graph.
+  const graph::ColumnarGraphView& graph() const noexcept { return graph_; }
   const MfcConfig& config() const noexcept { return config_; }
 
-  graph::NodeId num_nodes() const noexcept { return num_nodes_; }
-  std::size_t num_edges() const noexcept { return dst_.size(); }
+  graph::NodeId num_nodes() const noexcept { return graph_.num_nodes(); }
+  std::size_t num_edges() const noexcept { return graph_.num_edges(); }
 
   /// Per-edge activation probability with the positive boost folded in.
   std::span<const double> edge_probabilities() const noexcept {
@@ -169,18 +164,8 @@ class MfcEngine {
                            std::size_t num_threads = 1) const;
 
  private:
-  template <typename Graph>
-  void init(const Graph& diffusion);
-
-  const graph::SignedGraph* graph_ = nullptr;  // null for columnar engines
+  graph::ColumnarGraphView graph_;
   MfcConfig config_;
-  // Flat CSR view of the bound graph: out-edges of u are ids
-  // [out_begin_[u], out_begin_[u+1]). The offset array is copied (O(n));
-  // dst_/sign_ alias the backing store (zero-copy).
-  graph::NodeId num_nodes_ = 0;
-  std::vector<graph::EdgeId> out_begin_;  // n+1
-  std::span<const graph::NodeId> dst_;    // m
-  std::span<const graph::Sign> sign_;     // m
   std::vector<double> probability_;  // min(1, alpha*w) on boosted edges
 };
 

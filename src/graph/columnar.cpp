@@ -156,9 +156,11 @@ ColumnarGraphView ColumnarGraphView::open(const std::string& path,
   static_assert(sizeof(double) == 8);
 
   ColumnarGraphView view;
-  view.file_ = util::MappedFile::open(path);
-  const auto* base = reinterpret_cast<const unsigned char*>(view.file_.data());
-  const std::size_t size = view.file_.size();
+  view.file_ =
+      std::make_shared<const util::MappedFile>(util::MappedFile::open(path));
+  const auto* base =
+      reinterpret_cast<const unsigned char*>(view.file_->data());
+  const std::size_t size = view.file_->size();
 
   if (size < kRidgHeaderSize) fail(path, "file shorter than header");
   if (std::memcmp(base, kRidgMagic, sizeof(kRidgMagic)) != 0)
@@ -234,38 +236,56 @@ ColumnarGraphView ColumnarGraphView::open(const std::string& path,
   return view;
 }
 
+ColumnarGraphView::ColumnarGraphView(const SignedGraph& graph) noexcept
+    : num_nodes_(graph.num_nodes()),
+      num_edges_(graph.num_edges()),
+      out_offsets_(graph.csr_out_offsets()),
+      dst_(graph.csr_dsts()),
+      src_(graph.csr_srcs()),
+      sign_(graph.csr_signs()),
+      weight_(graph.csr_weights()),
+      in_offsets_(graph.csr_in_offsets()),
+      in_edge_(graph.csr_in_edges()) {}
+
+void ColumnarGraphView::advise_dontneed() const noexcept {
+  if (mapped()) file_->advise_dontneed();
+}
+
+void ColumnarGraphView::advise_sequential() const noexcept {
+  if (mapped()) file_->advise_sequential();
+}
+
+void ColumnarGraphView::advise_normal() const noexcept {
+  if (mapped()) file_->advise_normal();
+}
+
+void ColumnarGraphView::advise_random() const noexcept {
+  if (mapped()) file_->advise_random();
+}
+
+void ColumnarGraphView::drop_column(const void* column, std::size_t elt,
+                                    std::size_t first,
+                                    std::size_t count) const noexcept {
+  const std::size_t off = static_cast<std::size_t>(
+      static_cast<const std::byte*>(column) - file_->data());
+  file_->advise_dontneed(off + first * elt, count * elt);
+}
+
 void ColumnarGraphView::drop_edge_pages(EdgeId first,
                                         EdgeId last) const noexcept {
-  if (first >= last || last > num_edges_) return;
-  const auto* base = file_.data();
+  // An in-RAM view has no file to subtract column addresses from.
+  if (!mapped() || first >= last || last > num_edges_) return;
   const std::size_t count = last - first;
-  const auto drop = [&](const void* column, std::size_t elt) {
-    const std::size_t off =
-        static_cast<std::size_t>(static_cast<const std::byte*>(column) - base) +
-        static_cast<std::size_t>(first) * elt;
-    file_.advise_dontneed(off, count * elt);
-  };
-  drop(dst_.data(), sizeof(NodeId));
-  drop(src_.data(), sizeof(NodeId));
-  drop(sign_.data(), sizeof(Sign));
-  drop(weight_.data(), sizeof(double));
+  drop_column(dst_.data(), sizeof(NodeId), first, count);
+  drop_column(src_.data(), sizeof(NodeId), first, count);
+  drop_column(sign_.data(), sizeof(Sign), first, count);
+  drop_column(weight_.data(), sizeof(double), first, count);
 }
 
 void ColumnarGraphView::drop_all_edge_pages() const noexcept {
+  if (!mapped() || num_edges_ == 0) return;
   drop_edge_pages(0, static_cast<EdgeId>(num_edges_));
-  if (num_edges_ == 0) return;
-  const auto* base = file_.data();
-  const std::size_t off = static_cast<std::size_t>(
-      reinterpret_cast<const std::byte*>(in_edge_.data()) - base);
-  file_.advise_dontneed(off, num_edges_ * sizeof(EdgeId));
-}
-
-PartialGraphView ColumnarGraphView::node_range(NodeId first,
-                                               NodeId last) const {
-  if (first > last || last > num_nodes_)
-    throw util::InputError("ridg: node_range [" + std::to_string(first) +
-                           ", " + std::to_string(last) + ") out of bounds");
-  return PartialGraphView(*this, first, last);
+  drop_column(in_edge_.data(), sizeof(EdgeId), 0, num_edges_);
 }
 
 EdgeWindow ColumnarGraphView::edge_range(EdgeId first, EdgeId last) const {

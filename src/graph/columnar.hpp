@@ -32,17 +32,20 @@
 // produces identical output bytes (no timestamps, no platform-dependent
 // padding), which is what makes `ridnet_cli convert` deterministic.
 //
-// ColumnarGraphView mmaps a .ridg read-only and exposes the same accessor
-// surface as SignedGraph (num_nodes, edge_src/dst/sign/weight, out_edge_ids,
-// in_edge_ids, out_neighbors, degrees), so algo/ and core/ code templated
-// over the graph type runs unchanged — and bit-identically — on either
-// backing store. Loading is O(1): pages fault in on first touch.
+// ColumnarGraphView is the one graph read type of the detection path
+// (algo/components, diffusion/mfc_engine, core/cascade_extraction, core/rid):
+// typed spans over these columns. ColumnarGraphView::open maps a .ridg
+// read-only and returns a view that shares ownership of the mapping; a
+// SignedGraph converts to a view over its own vectors the way std::string
+// converts to std::string_view. Every algorithm therefore compiles once and
+// runs bit-identically on either storage. Loading a .ridg is O(1): pages
+// fault in on first touch.
 // scripts/check_ridg.py re-implements this layout in stdlib Python; keep the
 // two in sync (version-bump on any change).
 #pragma once
 
 #include <cstdint>
-#include <iterator>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -94,61 +97,8 @@ void write_columnar_file(const SignedGraph& graph,
 /// CLI format dispatch; does not validate the rest of the header).
 bool is_ridg_file(const std::string& path);
 
-/// Lazily-materialized range of consecutive EdgeIds [first, last).
-/// Out-edges of a CSR node are exactly the contiguous ids
-/// [out_offsets[u], out_offsets[u+1]), so the columnar view can hand out
-/// edge-id ranges without storing the identity permutation SignedGraph keeps.
-class EdgeIdRange {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::random_access_iterator_tag;
-    using value_type = EdgeId;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const EdgeId*;
-    using reference = EdgeId;
-
-    iterator() = default;
-    explicit iterator(EdgeId id) : id_(id) {}
-    EdgeId operator*() const noexcept { return id_; }
-    iterator& operator++() noexcept {
-      ++id_;
-      return *this;
-    }
-    iterator operator++(int) noexcept {
-      iterator old = *this;
-      ++id_;
-      return old;
-    }
-    bool operator==(const iterator&) const = default;
-    difference_type operator-(const iterator& o) const noexcept {
-      return static_cast<difference_type>(id_) -
-             static_cast<difference_type>(o.id_);
-    }
-
-   private:
-    EdgeId id_ = 0;
-  };
-
-  EdgeIdRange() = default;
-  EdgeIdRange(EdgeId first, EdgeId last) : first_(first), last_(last) {}
-
-  iterator begin() const noexcept { return iterator(first_); }
-  iterator end() const noexcept { return iterator(last_); }
-  std::size_t size() const noexcept { return last_ - first_; }
-  bool empty() const noexcept { return first_ == last_; }
-  EdgeId operator[](std::size_t i) const noexcept {
-    return first_ + static_cast<EdgeId>(i);
-  }
-  EdgeId front() const noexcept { return first_; }
-
- private:
-  EdgeId first_ = 0;
-  EdgeId last_ = 0;
-};
-
 /// A window [first, first + srcs.size()) of consecutive edges; spans alias
-/// the mapped file. Used to stream the edge array in blocks under a
+/// the view's columns. Used to stream the edge array in blocks under a
 /// WorkBudget instead of touching all m edges' pages at once.
 struct EdgeWindow {
   EdgeId first = 0;
@@ -160,11 +110,13 @@ struct EdgeWindow {
   std::size_t size() const noexcept { return srcs.size(); }
 };
 
-class PartialGraphView;
-
-/// Read-only zero-copy view over a mmap-ed .ridg file. Mirrors the
-/// SignedGraph accessor surface; spans and EdgeIdRanges alias the mapping
-/// and stay valid for the lifetime of the view (moves included).
+/// Read-only view of a graph's CSR columns: either a mapped .ridg file
+/// (open) or an in-RAM SignedGraph (implicit conversion). Spans and
+/// EdgeIdRanges alias the columns. A view of a SignedGraph does not own
+/// them, so the graph must outlive it, and converting a temporary does not
+/// compile; a view from open() shares ownership of its mapping, so it and
+/// its copies stay valid on their own. The paging hints act only on a
+/// mapped view and do nothing on an in-RAM one.
 class ColumnarGraphView {
  public:
   struct OpenOptions {
@@ -175,6 +127,8 @@ class ColumnarGraphView {
   };
 
   ColumnarGraphView() = default;
+  ColumnarGraphView(const SignedGraph& graph) noexcept;  // implicit
+  ColumnarGraphView(const SignedGraph&&) = delete;
 
   /// Maps `path`. Throws util::InputError on any validation failure.
   static ColumnarGraphView open(const std::string& path,
@@ -190,6 +144,10 @@ class ColumnarGraphView {
     return (flags_ & kRidgFlagHasStates) != 0;
   }
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+  /// True when the columns live in a .ridg file (open), false for a view of
+  /// an in-RAM SignedGraph. Extraction keys its paging-friendly algorithms
+  /// (edge-window WCC sweep, ArcGather::kAuto streaming) off this.
+  bool mapped() const noexcept { return file_ != nullptr; }
 
   // --- per-edge accessors -------------------------------------------------
   NodeId edge_src(EdgeId e) const noexcept { return src_[e]; }
@@ -217,13 +175,11 @@ class ColumnarGraphView {
                         out_offsets_[u + 1] - out_offsets_[u]);
   }
 
-  /// The embedded snapshot column (size num_nodes; meaningful only when
-  /// has_states()).
+  /// The embedded snapshot column (size num_nodes when has_states(); empty
+  /// for an in-RAM view).
   std::span<const NodeState> states() const noexcept { return state_; }
 
   // --- raw CSR columns ----------------------------------------------------
-  // Same accessor names as SignedGraph (offsets are u64 on disk, EdgeId in
-  // RAM — callers copy/convert offsets, alias the rest).
   std::span<const std::uint64_t> csr_out_offsets() const noexcept {
     return out_offsets_;
   }
@@ -236,25 +192,22 @@ class ColumnarGraphView {
   }
   std::span<const EdgeId> csr_in_edges() const noexcept { return in_edge_; }
 
-  // --- partial views ------------------------------------------------------
-  /// Restriction to nodes [first, last); adjacency of nodes outside the
-  /// window is not accessible through it.
-  PartialGraphView node_range(NodeId first, NodeId last) const;
   /// Window of consecutive edges [first, last) for streaming scans.
   EdgeWindow edge_range(EdgeId first, EdgeId last) const;
 
+  // --- paging hints (no-ops unless mapped()) ------------------------------
   /// Drops resident pages of the whole mapping (re-faulted from the file on
   /// next access). Called before forking sharded workers so children do not
   /// inherit O(graph) resident pages.
-  void advise_dontneed() const noexcept { file_.advise_dontneed(); }
+  void advise_dontneed() const noexcept;
 
   /// Readahead hints for linear edge sweeps (WCC, streamed arc gathering);
   /// advise_normal() restores default paging before random-access phases.
-  void advise_sequential() const noexcept { file_.advise_sequential(); }
-  void advise_normal() const noexcept { file_.advise_normal(); }
+  void advise_sequential() const noexcept;
+  void advise_normal() const noexcept;
   /// Minimal readahead/fault-around for scattered per-arc lookups (the
   /// extraction finish phase); advise_normal() undoes it.
-  void advise_random() const noexcept { file_.advise_random(); }
+  void advise_random() const noexcept;
 
   /// Drops the resident pages of the four edge columns (dst/src/sign/weight)
   /// for edges [first, last) — streaming sweeps call this behind their
@@ -268,17 +221,23 @@ class ColumnarGraphView {
   /// pages they fault in do not accumulate to O(file) resident set.
   void drop_all_edge_pages() const noexcept;
 
-  /// Bytes of the underlying file (0 when default-constructed).
-  std::size_t file_bytes() const noexcept { return file_.size(); }
+  /// Bytes of the underlying file (0 for an in-RAM view).
+  std::size_t file_bytes() const noexcept {
+    return mapped() ? file_->size() : 0;
+  }
 
  private:
-  util::MappedFile file_;
+  /// Ranged MADV_DONTNEED over `count` elements of `column` from `first`.
+  void drop_column(const void* column, std::size_t elt, std::size_t first,
+                   std::size_t count) const noexcept;
+
+  std::shared_ptr<const util::MappedFile> file_;  // null: in-RAM view
   NodeId num_nodes_ = 0;
   std::size_t num_edges_ = 0;
   std::uint32_t flags_ = 0;
   std::uint64_t fingerprint_ = 0;
-  // Typed spans into the mapping (little-endian host required; open()
-  // enforces this).
+  // Typed spans into the mapping or the SignedGraph's vectors
+  // (little-endian host required; open() enforces this).
   std::span<const std::uint64_t> out_offsets_;  // n+1
   std::span<const NodeId> dst_;                 // m
   std::span<const NodeId> src_;                 // m
@@ -286,49 +245,7 @@ class ColumnarGraphView {
   std::span<const double> weight_;              // m
   std::span<const std::uint64_t> in_offsets_;   // n+1
   std::span<const EdgeId> in_edge_;             // m
-  std::span<const NodeState> state_;            // n
-};
-
-/// Node-window restriction of a ColumnarGraphView: same accessors, but only
-/// nodes in [node_begin, node_end) may be queried. Edge ids remain global,
-/// so results compose with whole-graph structures (union-find, component
-/// labels). The parent view must outlive the partial view.
-class PartialGraphView {
- public:
-  PartialGraphView(const ColumnarGraphView& parent, NodeId first, NodeId last)
-      : parent_(&parent), first_(first), last_(last) {}
-
-  NodeId node_begin() const noexcept { return first_; }
-  NodeId node_end() const noexcept { return last_; }
-  std::size_t num_window_nodes() const noexcept { return last_ - first_; }
-
-  EdgeIdRange out_edge_ids(NodeId u) const noexcept {
-    return parent_->out_edge_ids(u);
-  }
-  std::span<const NodeId> out_neighbors(NodeId u) const noexcept {
-    return parent_->out_neighbors(u);
-  }
-  std::span<const EdgeId> in_edge_ids(NodeId v) const noexcept {
-    return parent_->in_edge_ids(v);
-  }
-  std::size_t out_degree(NodeId u) const noexcept {
-    return parent_->out_degree(u);
-  }
-  std::size_t in_degree(NodeId v) const noexcept {
-    return parent_->in_degree(v);
-  }
-  NodeId edge_src(EdgeId e) const noexcept { return parent_->edge_src(e); }
-  NodeId edge_dst(EdgeId e) const noexcept { return parent_->edge_dst(e); }
-  Sign edge_sign(EdgeId e) const noexcept { return parent_->edge_sign(e); }
-  double edge_weight(EdgeId e) const noexcept {
-    return parent_->edge_weight(e);
-  }
-  bool contains(NodeId u) const noexcept { return u >= first_ && u < last_; }
-
- private:
-  const ColumnarGraphView* parent_;
-  NodeId first_;
-  NodeId last_;
+  std::span<const NodeState> state_;            // n, or empty
 };
 
 /// Materializes the view back into an in-RAM SignedGraph (parse-free: a

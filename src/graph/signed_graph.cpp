@@ -1,7 +1,6 @@
 #include "graph/signed_graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace rid::graph {
@@ -98,8 +97,6 @@ SignedGraph SignedGraphBuilder::build(const BuildOptions& options) {
     g.out_offsets_[u + 1] += g.out_offsets_[u];
 
   const auto m = static_cast<EdgeId>(g.dst_.size());
-  g.edge_id_identity_.resize(m);
-  std::iota(g.edge_id_identity_.begin(), g.edge_id_identity_.end(), EdgeId{0});
 
   // In-adjacency via counting sort on destination.
   g.in_offsets_.assign(num_nodes_ + 1, 0);
@@ -107,7 +104,8 @@ SignedGraph SignedGraphBuilder::build(const BuildOptions& options) {
   for (NodeId v = 0; v < num_nodes_; ++v)
     g.in_offsets_[v + 1] += g.in_offsets_[v];
   g.in_edge_.resize(m);
-  cursor.assign(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+  for (NodeId v = 0; v < num_nodes_; ++v)
+    cursor[v] = static_cast<EdgeId>(g.in_offsets_[v]);
   for (EdgeId e = 0; e < m; ++e) g.in_edge_[cursor[g.dst_[e]]++] = e;
 
   // Release builder storage.
@@ -151,7 +149,8 @@ SignedGraph SignedGraph::reversed() const {
   r.weight_.resize(m);
   r.in_edge_.resize(m);
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (EdgeId k = in_offsets_[v]; k < in_offsets_[v + 1]; ++k) {
+    const auto last = static_cast<EdgeId>(in_offsets_[v + 1]);
+    for (auto k = static_cast<EdgeId>(in_offsets_[v]); k < last; ++k) {
       const EdgeId e = in_edge_[k];
       r.src_[k] = v;
       r.dst_[k] = src_[e];
@@ -160,18 +159,16 @@ SignedGraph SignedGraph::reversed() const {
       r.in_edge_[e] = k;
     }
   }
-  r.edge_id_identity_ = edge_id_identity_;
   return r;
 }
 
 std::size_t SignedGraph::memory_bytes() const noexcept {
-  return out_offsets_.capacity() * sizeof(EdgeId) +
+  return out_offsets_.capacity() * sizeof(std::uint64_t) +
          src_.capacity() * sizeof(NodeId) + dst_.capacity() * sizeof(NodeId) +
          sign_.capacity() * sizeof(Sign) +
          weight_.capacity() * sizeof(double) +
-         in_offsets_.capacity() * sizeof(EdgeId) +
-         in_edge_.capacity() * sizeof(EdgeId) +
-         edge_id_identity_.capacity() * sizeof(EdgeId);
+         in_offsets_.capacity() * sizeof(std::uint64_t) +
+         in_edge_.capacity() * sizeof(EdgeId);
 }
 
 }  // namespace rid::graph

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +19,59 @@
 namespace rid::graph {
 
 class SignedGraph;
+
+/// Lazily-materialized range of consecutive EdgeIds [first, last).
+/// Out-edges of a CSR node are exactly the contiguous ids
+/// [out_offsets[u], out_offsets[u+1]), so adjacency can hand out edge-id
+/// ranges without storing an identity permutation.
+class EdgeIdRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = EdgeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const EdgeId*;
+    using reference = EdgeId;
+
+    iterator() = default;
+    explicit iterator(EdgeId id) : id_(id) {}
+    EdgeId operator*() const noexcept { return id_; }
+    iterator& operator++() noexcept {
+      ++id_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator old = *this;
+      ++id_;
+      return old;
+    }
+    bool operator==(const iterator&) const = default;
+    difference_type operator-(const iterator& o) const noexcept {
+      return static_cast<difference_type>(id_) -
+             static_cast<difference_type>(o.id_);
+    }
+
+   private:
+    EdgeId id_ = 0;
+  };
+
+  EdgeIdRange() = default;
+  EdgeIdRange(EdgeId first, EdgeId last) : first_(first), last_(last) {}
+
+  iterator begin() const noexcept { return iterator(first_); }
+  iterator end() const noexcept { return iterator(last_); }
+  std::size_t size() const noexcept { return last_ - first_; }
+  bool empty() const noexcept { return first_ == last_; }
+  EdgeId operator[](std::size_t i) const noexcept {
+    return first_ + static_cast<EdgeId>(i);
+  }
+  EdgeId front() const noexcept { return first_; }
+
+ private:
+  EdgeId first_ = 0;
+  EdgeId last_ = 0;
+};
 
 /// Incrementally collects edges, then produces an immutable CSR graph.
 class SignedGraphBuilder {
@@ -59,7 +114,9 @@ class SignedGraphBuilder {
 ///
 /// Edges are identified by EdgeId in [0, num_edges()), ordered by source node
 /// (CSR order). In-adjacency entries reference the same EdgeIds, so signs and
-/// weights are stored once.
+/// weights are stored once. The columns have the widths of the .ridg format
+/// (graph/columnar.hpp), so a ColumnarGraphView over this graph aliases them
+/// exactly as one over a mapped file does.
 class SignedGraph {
  public:
   SignedGraph() = default;
@@ -81,9 +138,9 @@ class SignedGraph {
 
   // --- adjacency ----------------------------------------------------------
   /// EdgeIds of edges leaving `u`, sorted by destination id.
-  std::span<const EdgeId> out_edge_ids(NodeId u) const noexcept {
-    return {edge_id_identity_.data() + out_offsets_[u],
-            out_offsets_[u + 1] - out_offsets_[u]};
+  EdgeIdRange out_edge_ids(NodeId u) const noexcept {
+    return {static_cast<EdgeId>(out_offsets_[u]),
+            static_cast<EdgeId>(out_offsets_[u + 1])};
   }
   /// EdgeIds of edges entering `v`, sorted by source id.
   std::span<const EdgeId> in_edge_ids(NodeId v) const noexcept {
@@ -108,16 +165,16 @@ class SignedGraph {
   EdgeId find_edge(NodeId src, NodeId dst) const noexcept;
 
   // --- raw CSR columns ----------------------------------------------------
-  // Whole-array views used by the columnar serializer (graph/columnar) and
-  // the flat-span diffusion engine; indexed by NodeId (offsets) or EdgeId.
-  std::span<const EdgeId> csr_out_offsets() const noexcept {
+  // Whole-array views used by the columnar serializer and ColumnarGraphView
+  // (graph/columnar); indexed by NodeId (offsets) or EdgeId.
+  std::span<const std::uint64_t> csr_out_offsets() const noexcept {
     return out_offsets_;
   }
   std::span<const NodeId> csr_srcs() const noexcept { return src_; }
   std::span<const NodeId> csr_dsts() const noexcept { return dst_; }
   std::span<const Sign> csr_signs() const noexcept { return sign_; }
   std::span<const double> csr_weights() const noexcept { return weight_; }
-  std::span<const EdgeId> csr_in_offsets() const noexcept {
+  std::span<const std::uint64_t> csr_in_offsets() const noexcept {
     return in_offsets_;
   }
   std::span<const EdgeId> csr_in_edges() const noexcept { return in_edge_; }
@@ -136,18 +193,15 @@ class SignedGraph {
   friend class SignedGraphBuilder;
 
   // CSR over out-edges. EdgeId == index into src_/dst_/sign_/weight_.
-  std::vector<EdgeId> out_offsets_;  // size n+1
+  std::vector<std::uint64_t> out_offsets_;  // size n+1
   std::vector<NodeId> src_;          // size m (src of each edge, CSR-ordered)
   std::vector<NodeId> dst_;          // size m
   std::vector<Sign> sign_;           // size m
   std::vector<double> weight_;       // size m
 
   // In-adjacency: for each node, the EdgeIds of incoming edges.
-  std::vector<EdgeId> in_offsets_;  // size n+1
-  std::vector<EdgeId> in_edge_;     // size m
-
-  // Identity permutation so out_edge_ids can return a span.
-  std::vector<EdgeId> edge_id_identity_;  // size m
+  std::vector<std::uint64_t> in_offsets_;  // size n+1
+  std::vector<EdgeId> in_edge_;            // size m
 };
 
 }  // namespace rid::graph

@@ -142,7 +142,8 @@ TEST(Components, DirectionIgnored) {
   builder.add_edge(0, 1, Sign::kPositive, 1.0)
       .add_edge(2, 1, Sign::kNegative, 1.0)   // 0,1,2 weakly connected
       .add_edge(3, 4, Sign::kPositive, 1.0);  // 3,4 connected; 5 isolated
-  const Components comps = weakly_connected_components(builder.build());
+  const SignedGraph g = builder.build();
+  const Components comps = weakly_connected_components(g);
   EXPECT_EQ(comps.count, 3u);
   EXPECT_EQ(comps.label[0], comps.label[1]);
   EXPECT_EQ(comps.label[1], comps.label[2]);
@@ -162,8 +163,8 @@ TEST(Components, RestrictedComponentsIgnoreOutsideEdges) {
   builder.add_edge(0, 1, Sign::kPositive, 1.0)
       .add_edge(1, 2, Sign::kPositive, 1.0);
   const std::vector<NodeId> keep{0, 2};
-  const Components comps =
-      weakly_connected_components(builder.build(), keep);
+  const SignedGraph g = builder.build();
+  const Components comps = weakly_connected_components(g, keep);
   EXPECT_EQ(comps.count, 2u);
   EXPECT_EQ(comps.label[1], graph::kInvalidNode);
   EXPECT_NE(comps.label[0], comps.label[2]);
@@ -174,8 +175,8 @@ TEST(Components, RestrictedKeepsInternalEdges) {
   builder.add_edge(0, 1, Sign::kPositive, 1.0)
       .add_edge(2, 3, Sign::kPositive, 1.0);
   const std::vector<NodeId> keep{0, 1, 3};
-  const Components comps =
-      weakly_connected_components(builder.build(), keep);
+  const SignedGraph g = builder.build();
+  const Components comps = weakly_connected_components(g, keep);
   EXPECT_EQ(comps.count, 2u);
   EXPECT_EQ(comps.label[0], comps.label[1]);
   EXPECT_EQ(comps.label[2], graph::kInvalidNode);

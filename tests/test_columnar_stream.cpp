@@ -305,13 +305,13 @@ TEST(ColumnarStream, ConvertsUnderAddressSpaceCapWhereInRamCannot) {
 
   const fs::path dir = test_dir("rlimit");
   const fs::path text = dir / "big.txt";
-  // ~1M rows (~25 MB of text): the in-RAM path needs the parsed edge list,
+  // ~1.5M rows (~37 MB of text): the in-RAM path needs the parsed edge list,
   // the built CSR *and* its diffusion reversal resident at once; the
   // streaming path holds O(nodes + chunk).
   {
     util::Rng rng(47);
     std::ofstream out(text);
-    for (std::size_t i = 0; i < 1000000; ++i) {
+    for (std::size_t i = 0; i < 1500000; ++i) {
       out << rng.next_below(50000) << ' ' << rng.next_below(50000) << ' '
           << (rng.bernoulli(0.8) ? 1 : -1) << " 0.5\n";
     }
@@ -409,30 +409,31 @@ TEST(ColumnarStream, StreamedArcGatherMatchesCopyOracle) {
   const fs::path ridg = dir / "g.ridg";
   write_columnar_file(scenario().graph, scenario().states, ridg.string(),
                       kRidgFlagDiffusion);
-  const auto view = ColumnarGraphView::open(ridg.string());
+  const auto mapped = ColumnarGraphView::open(ridg.string());
+  const ColumnarGraphView in_ram = scenario().graph;
 
   core::ExtractionConfig config;
   config.arc_gather = core::ArcGather::kCopy;
   const core::CascadeForest want =
-      core::extract_cascade_forest(scenario().graph, scenario().states,
-                                   config);
+      core::extract_cascade_forest(in_ram, scenario().states, config);
   ASSERT_GT(want.trees.size(), 1u);
 
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    for (const core::ArcGather gather :
-         {core::ArcGather::kAuto, core::ArcGather::kCopy,
-          core::ArcGather::kStreamed}) {
-      core::ExtractionConfig c;
-      c.arc_gather = gather;
-      c.num_threads = threads;
-      expect_identical_forests(
-          core::extract_cascade_forest(view, scenario().states, c), want);
-      // The in-RAM backend ignores kStreamed (no edge windows) but must
-      // still produce the same forest.
-      expect_identical_forests(
-          core::extract_cascade_forest(scenario().graph, scenario().states,
-                                       c),
-          want);
+  // Streamed == copy on both storages: kAuto streams only the mapped view,
+  // kStreamed streams both.
+  for (const ColumnarGraphView* view : {&mapped, &in_ram}) {
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      for (const core::ArcGather gather :
+           {core::ArcGather::kAuto, core::ArcGather::kCopy,
+            core::ArcGather::kStreamed}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (view->mapped() ? "mapped" : "in-RAM") << " threads "
+                     << threads << " gather " << static_cast<int>(gather));
+        core::ExtractionConfig c;
+        c.arc_gather = gather;
+        c.num_threads = threads;
+        expect_identical_forests(
+            core::extract_cascade_forest(*view, scenario().states, c), want);
+      }
     }
   }
 }

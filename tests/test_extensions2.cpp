@@ -1,16 +1,12 @@
-// Tests for the second extension batch: cascade analytics, DOT export,
-// fixed-root arborescences, and greedy influence maximization.
+// Tests for the second extension batch: cascade analytics and greedy
+// influence maximization.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "algo/arborescence_root.hpp"
 #include "diffusion/cascade_stats.hpp"
 #include "diffusion/influence_max.hpp"
 #include "diffusion/mfc.hpp"
 #include "gen/sign_assigner.hpp"
 #include "gen/topologies.hpp"
-#include "graph/dot_export.hpp"
 #include "util/rng.hpp"
 
 namespace rid {
@@ -104,135 +100,6 @@ TEST(CascadeStats, FlipCyclesAreMarkedInvalid) {
     EXPECT_EQ(depths[0], diffusion::kInvalidDepth);
     EXPECT_EQ(depths[1], diffusion::kInvalidDepth);
   }
-}
-
-// --- DOT export ----------------------------------------------------------------
-
-TEST(DotExport, ContainsNodesEdgesAndColors) {
-  SignedGraphBuilder builder(3);
-  builder.add_edge(0, 1, Sign::kPositive, 0.5)
-      .add_edge(1, 2, Sign::kNegative, 0.25);
-  const SignedGraph g = builder.build();
-  const std::vector<NodeState> states{NodeState::kPositive,
-                                      NodeState::kNegative,
-                                      NodeState::kInactive};
-  std::ostringstream out;
-  graph::save_dot(g, out, {.states = states, .edge_weights = true});
-  const std::string dot = out.str();
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-  EXPECT_NE(dot.find("n1 -> n2"), std::string::npos);
-  EXPECT_NE(dot.find("forestgreen"), std::string::npos);
-  EXPECT_NE(dot.find("crimson"), std::string::npos);
-  EXPECT_NE(dot.find("palegreen"), std::string::npos);
-  EXPECT_NE(dot.find("lightcoral"), std::string::npos);
-  EXPECT_NE(dot.find("0.500"), std::string::npos);
-}
-
-TEST(DotExport, RejectsStateSizeMismatch) {
-  SignedGraphBuilder builder(2);
-  const SignedGraph g = builder.build();
-  const std::vector<NodeState> wrong(1, NodeState::kPositive);
-  std::ostringstream out;
-  EXPECT_THROW(graph::save_dot(g, out, {.states = wrong}),
-               std::invalid_argument);
-}
-
-// --- fixed-root arborescence ------------------------------------------------------
-
-std::vector<algo::WeightedArc> arcs_from(
-    std::initializer_list<std::tuple<NodeId, NodeId, double>> list) {
-  std::vector<algo::WeightedArc> arcs;
-  std::uint32_t id = 0;
-  for (const auto& [u, v, w] : list) arcs.push_back({u, v, w, id++});
-  return arcs;
-}
-
-TEST(RootedArborescence, SimpleChain) {
-  const auto arcs = arcs_from({{0, 1, 2.0}, {1, 2, 3.0}, {0, 2, 1.0}});
-  const auto result = algo::max_arborescence(3, arcs, 0);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_DOUBLE_EQ(result->total_weight, 5.0);
-  EXPECT_EQ(result->parent[1], 0u);
-  EXPECT_EQ(result->parent[2], 1u);
-  EXPECT_EQ(result->parent[0], graph::kInvalidNode);
-  EXPECT_EQ(result->parent_arc[2], 1u);  // original arc index
-}
-
-TEST(RootedArborescence, InfeasibleWhenUnreachable) {
-  const auto arcs = arcs_from({{0, 1, 1.0}});
-  EXPECT_FALSE(algo::max_arborescence(3, arcs, 0).has_value());
-}
-
-TEST(RootedArborescence, ArcsIntoRootIgnored) {
-  const auto arcs = arcs_from({{1, 0, 100.0}, {0, 1, 1.0}});
-  const auto result = algo::max_arborescence(2, arcs, 0);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_DOUBLE_EQ(result->total_weight, 1.0);
-}
-
-TEST(RootedArborescence, MinVariantPicksLightArcs) {
-  const auto arcs = arcs_from(
-      {{0, 1, 5.0}, {0, 1, 2.0}, {0, 2, 1.0}, {1, 2, 0.5}});
-  const auto result = algo::min_arborescence(3, arcs, 0);
-  ASSERT_TRUE(result.has_value());
-  // Min: take 0->1 (2.0) and 1->2 (0.5) = 2.5.
-  EXPECT_DOUBLE_EQ(result->total_weight, 2.5);
-  EXPECT_EQ(result->parent_arc[1], 1u);
-  EXPECT_EQ(result->parent_arc[2], 3u);
-}
-
-TEST(RootedArborescence, CycleResolution) {
-  // Classic: root feeds a 2-cycle.
-  const auto arcs = arcs_from(
-      {{0, 1, 1.0}, {1, 2, 10.0}, {2, 1, 10.0}, {0, 2, 1.0}});
-  const auto result = algo::max_arborescence(3, arcs, 0);
-  ASSERT_TRUE(result.has_value());
-  // Either enter at 1 (1 + 10) or at 2 (1 + 10): weight 11 both ways.
-  EXPECT_DOUBLE_EQ(result->total_weight, 11.0);
-}
-
-TEST(RootedArborescence, MatchesCoverageBruteForceOnRandomGraphs) {
-  // Whenever a spanning arborescence from the root exists, its weight must
-  // match the brute-force coverage-maximizing branching over the same arcs
-  // (which then has exactly one root: ours).
-  util::Rng rng(2026);
-  for (int trial = 0; trial < 100; ++trial) {
-    const NodeId n = 2 + static_cast<NodeId>(rng.next_below(4));
-    std::vector<algo::WeightedArc> arcs;
-    const std::size_t m = rng.next_below(10);
-    for (std::uint32_t i = 0; i < m; ++i) {
-      arcs.push_back({static_cast<NodeId>(rng.next_below(n)),
-                      static_cast<NodeId>(rng.next_below(n)),
-                      rng.uniform(-2.0, 2.0), i});
-    }
-    const NodeId root = static_cast<NodeId>(rng.next_below(n));
-    std::vector<algo::WeightedArc> filtered;
-    for (const auto& a : arcs)
-      if (a.dst != root) filtered.push_back(a);
-    const auto brute = algo::max_branching_brute_force(n, filtered);
-    const auto result = algo::max_arborescence(n, arcs, root);
-    if (brute.num_roots == 1 &&
-        brute.parent[root] == graph::kInvalidNode) {
-      ASSERT_TRUE(result.has_value()) << "trial " << trial;
-      EXPECT_NEAR(result->total_weight, brute.total_weight, 1e-9)
-          << "trial " << trial;
-      // Structural sanity: parent pointers form a tree rooted at `root`.
-      for (NodeId v = 0; v < n; ++v) {
-        if (v == root) {
-          EXPECT_EQ(result->parent[v], graph::kInvalidNode);
-        } else {
-          EXPECT_NE(result->parent[v], graph::kInvalidNode);
-        }
-      }
-    } else {
-      EXPECT_FALSE(result.has_value()) << "trial " << trial;
-    }
-  }
-}
-
-TEST(RootedArborescence, RootValidation) {
-  const std::vector<algo::WeightedArc> none;
-  EXPECT_THROW(algo::max_arborescence(2, none, 5), std::out_of_range);
 }
 
 // --- influence maximization ---------------------------------------------------------

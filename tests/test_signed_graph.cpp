@@ -7,13 +7,22 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <type_traits>
 #include <vector>
 
+#include "graph/columnar.hpp"
 #include "graph/diffusion_network.hpp"
 #include "graph/types.hpp"
 
 namespace rid::graph {
 namespace {
+
+// A named graph converts to the read type every algorithm takes; a view of
+// a temporary would dangle once the full expression ends, so that
+// conversion must not compile.
+static_assert(std::is_convertible_v<const SignedGraph&, ColumnarGraphView>);
+static_assert(!std::is_convertible_v<SignedGraph&&, ColumnarGraphView>);
+static_assert(!std::is_convertible_v<const SignedGraph&&, ColumnarGraphView>);
 
 SignedGraph make_triangle() {
   SignedGraphBuilder builder(3);
